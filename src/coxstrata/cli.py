@@ -318,7 +318,10 @@ def _parse_point(text: str, rs: RootSystem) -> ExtendedPoint:
         if p.lower() in ("inf", "infinity", "oo"):
             vals.append(None)
         else:
-            vals.append(Fraction(p))
+            try:
+                vals.append(Fraction(p))
+            except ZeroDivisionError:
+                raise ValueError(f"coordinate {p!r} has a zero denominator") from None
     return ExtendedPoint(tuple(vals))
 
 

@@ -62,3 +62,14 @@ class SpanDeficient(CoxstrataError):
 class NotInVariety(CoxstrataError):
     """Raised by operations whose precondition is variety membership."""
 
+
+class MagnitudeOverflow(CoxstrataError):
+    """An integer would not fit the int64 arrays of the vectorised path."""
+
+
+class InvariantViolation(CoxstrataError):
+    """An internal consistency check failed (a bug, not bad input)."""
+
+
+class InvalidSetting(CoxstrataError):
+    """An environment setting holds a value outside its allowed range."""

@@ -13,9 +13,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import InvalidId, RankOutOfRange, ResourceLimit
-from .linalg import IncrementalSpan, integer_kernel
-from .rootsys import CartanType, RootSystem, build_root_system, closure
+from .errors import InvalidId, InvalidSetting, RankOutOfRange, ResourceLimit
+from .linalg import integer_kernel
+from .rootsys import RootSystem, build_root_system, closure
 
 #: Default flat budget; admits every type through E7.  E8 (about 5.5M
 #: flats) must be requested explicitly with max_flats=None or a higher cap.
@@ -82,11 +82,6 @@ class IntersectionLattice:
     def betti_row(self) -> list[int]:
         """Stratum counts by codimension: entry k counts flats of rank r-k."""
         return list(reversed(self.rank_counts))
-
-    def cartan_type_of(self, fid: int) -> CartanType:
-        from .rootsys import classify_subsystem
-
-        return classify_subsystem(self.rs, self.flat(fid).mask)
 
 
 def leq(lat: IntersectionLattice, x: int, y: int) -> bool:
@@ -161,33 +156,25 @@ def whitney_second(lat: IntersectionLattice, k: int) -> int:
 # For a flat with span S and kernel matrix N (integer rows spanning the
 # orthogonal complement of S), a root x lies in span(S + y) iff N x is
 # rationally parallel to N y.  One matmul per flat gives all N-images;
-# each expansion is then an elementwise parallelism test over all
-# positive roots at once.
+# dividing each image by its gcd and fixing its sign makes parallel
+# images equal, so each group of equal nonzero images is one child.
 
 
 def _expand_flat(rs: RootSystem, mask: int) -> list[int]:
     """Masks of all flats covering the given flat, each discovered once."""
-    pos_matrix = rs._pos_matrix
     rows = [rs.roots[i] for i in rs.positive_indices(mask)]
-    span = IncrementalSpan(rs.ambient)
-    basis = [tuple(v) for v in rows if span.add(v)]
-    kernel = integer_kernel(basis, rs.ambient)
-    if not kernel:
+    images = rs._kernel_images(integer_kernel(rows, rs.ambient))
+    g = np.gcd.reduce(images, axis=1)
+    outside = np.flatnonzero(g)
+    if not outside.size:
         return []
-    kmat = np.array(kernel, dtype=np.int64).T
-    images = pos_matrix @ kmat
-    assert int(np.abs(images).max(initial=0)) < 1 << 31, "unsafe magnitude"
-    children: list[int] = []
-    pending = rs.full_mask & ~mask
-    while pending:
-        p = (pending & -pending).bit_length() - 1
-        v = images[p]
-        j = int(np.argmax(np.abs(v)))
-        hits = np.all(images * v[j] == np.outer(images[:, j], v), axis=1)
-        child = int.from_bytes(np.packbits(hits, bitorder="little").tobytes(), "little")
-        children.append(child)
-        pending &= ~child
-    return children
+    canon = images[outside] // g[outside, None]
+    lead = canon[np.arange(outside.size), np.argmax(canon != 0, axis=1)]
+    canon *= np.sign(lead)[:, None]
+    children: dict[tuple[int, ...], int] = {}
+    for p, key in zip(outside.tolist(), map(tuple, canon.tolist())):
+        children[key] = children.get(key, mask) | 1 << p
+    return list(children.values())
 
 
 _WORKER_RS: RootSystem | None = None
@@ -293,12 +280,22 @@ def enumerate_rank_counts(
 
 
 def _resolve_workers(workers: int | None) -> int:
+    """Worker count: the argument, else COXSTRATA_THREADS, else 1.
+
+    The result is clamped to [1, os.cpu_count()]; a COXSTRATA_THREADS
+    value that is not an integer >= 1 raises InvalidSetting.
+    """
     if workers is None:
-        env = os.environ.get("COXSTRATA_THREADS")
-        if env:
-            return max(1, int(env))
-        return 1
-    return max(1, workers)
+        env = os.environ.get("COXSTRATA_THREADS", "").strip()
+        if not env:
+            return 1
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise InvalidSetting(f"COXSTRATA_THREADS must be an integer >= 1, got {env!r}")
+    return max(1, min(workers, os.cpu_count() or 1))
 
 
 def brute_force_flats(rs: RootSystem, max_positive: int = 12) -> list[list[int]]:

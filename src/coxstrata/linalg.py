@@ -1,90 +1,124 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Everything here is fraction-free or Fraction-based; no floating point.
-Matrices are small (rows are root coordinate vectors), so clarity wins
-over asymptotics.
+One fraction-free core: `IncrementalSpan` keeps a row space in reduced
+integer echelon form.  Elimination is cross-multiplication as in Bareiss
+(1968), but each row is then divided by its gcd instead of by the
+previous pivot, which keeps entries as small as the row space allows.
+Rank, span membership, greedy bases, kernels and solves are thin
+functions over it.  Matrices are small (rows are root coordinate
+vectors), so clarity wins over asymptotics; no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 IntVec = tuple[int, ...]
 
 
-def bareiss_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(n_cols):
-        piv = next((i for i in range(rank, n_rows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        for i in range(rank + 1, n_rows):
-            fi = m[i][col]
-            for c in range(col, n_cols):
-                m[i][c] = (pv * m[i][c] - fi * m[rank][c]) // prev
-        prev = pv
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+def _normalised(v: list[int]) -> list[int]:
+    """v divided by the gcd of its entries, first nonzero entry positive."""
+    g = gcd(*v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return v if g == 1 else [x // g for x in v]
 
 
 class IncrementalSpan:
-    """Row space maintained in reduced echelon form over Fraction.
+    """Row space of integer vectors in reduced integer echelon form.
 
-    Supports exact membership tests and greedy basis extraction.
+    Each stored row is primitive (gcd 1) with a positive pivot, and is
+    zero in every other row's pivot column; rows are kept sorted by
+    pivot.  All arithmetic is on Python ints, so nothing overflows.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[list[int]] = []
         self.pivots: list[int] = []
 
-    def _reduce(self, vec: Sequence[int | Fraction]) -> list[Fraction]:
-        v = [Fraction(x) for x in vec]
+    def _reduce(self, vec: Sequence[int]) -> list[int]:
+        """A nonzero multiple of vec minus span rows, zero in every pivot."""
+        v = list(vec)
         for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                for c in range(p, self.dim):
-                    v[c] -= f * row[c]
+            f = v[p]
+            if f:
+                a = row[p]
+                v = [a * x - f * y for x, y in zip(v, row)]
         return v
 
-    def contains(self, vec: Sequence[int | Fraction]) -> bool:
+    def contains(self, vec: Sequence[int]) -> bool:
         return not any(self._reduce(vec))
 
-    def add(self, vec: Sequence[int | Fraction]) -> bool:
+    def add(self, vec: Sequence[int]) -> bool:
         """Add vec to the span; return True iff it enlarged the span."""
         v = self._reduce(vec)
-        p = next((c for c in range(self.dim) if v[c]), None)
-        if p is None:
+        if not any(v):
             return False
-        f = v[p]
-        v = [x / f for x in v]
-        for row in self.rows:
-            if row[p]:
-                g = row[p]
-                for c in range(p, self.dim):
-                    row[c] -= g * v[c]
-        self.rows.append(v)
-        self.pivots.append(p)
-        order = sorted(range(len(self.pivots)), key=self.pivots.__getitem__)
-        self.rows = [self.rows[i] for i in order]
-        self.pivots = [self.pivots[i] for i in order]
+        v = _normalised(v)
+        p = next(c for c, x in enumerate(v) if x)
+        a = v[p]
+        for i, row in enumerate(self.rows):
+            f = row[p]
+            if f:
+                self.rows[i] = _normalised([a * x - f * y for x, y in zip(row, v)])
+        at = sum(1 for q in self.pivots if q < p)
+        self.rows.insert(at, v)
+        self.pivots.insert(at, p)
         return True
 
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    def kernel(self) -> list[IntVec]:
+        """Primitive integer basis of {x : row . x == 0 for every row}.
+
+        One vector per free column, zero in every other free column; each
+        is primitive with its first nonzero entry positive.
+        """
+        free = [c for c in range(self.dim) if c not in self.pivots]
+        kernel: list[IntVec] = []
+        for f in free:
+            used = [(row, p) for row, p in zip(self.rows, self.pivots) if row[f]]
+            # Star-unpack lists, not generators: a tuple built from a
+            # generator is resized, and each one freed then stays in
+            # CPython's tuple free list, which raises peak memory.
+            den = lcm(*[row[p] for row, p in used])
+            x = [0] * self.dim
+            x[f] = den
+            for row, p in used:
+                x[p] = -row[f] * (den // row[p])
+            kernel.append(tuple(_normalised(x)))
+        return kernel
+
+    def solve(self) -> tuple[list[int], int] | None:
+        """Unique solution of the rows read as an augmented system [A | b].
+
+        The last column is b.  Returns integer numerators and one positive
+        denominator (x_i = nums[i] / den), or None when the system is
+        inconsistent or its solution is not unique.
+        """
+        n = self.dim - 1
+        if self.pivots != list(range(n)):
+            return None
+        den = lcm(*[row[p] for row, p in zip(self.rows, self.pivots)])
+        return [row[n] * (den // row[p]) for row, p in zip(self.rows, self.pivots)], den
+
+
+def _span_of(rows: Iterable[Sequence[int]], dim: int) -> IncrementalSpan:
+    span = IncrementalSpan(dim)
+    for r in rows:
+        span.add(r)
+    return span
+
+
+def bareiss_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of an integer matrix (0 for no rows)."""
+    rows = list(rows)
+    return _span_of(rows, len(rows[0])).rank if rows else 0
 
 
 def greedy_basis(vectors: Sequence[Sequence[int]], dim: int) -> list[int]:
@@ -94,7 +128,7 @@ def greedy_basis(vectors: Sequence[Sequence[int]], dim: int) -> list[int]:
 
 
 def solve_in_basis(
-    basis: Sequence[Sequence[int]], target: Sequence[int | Fraction]
+    basis: Sequence[Sequence[int]], target: Sequence[int]
 ) -> list[Fraction] | None:
     """Coefficients c with sum(c_i * basis_i) == target, or None.
 
@@ -102,44 +136,14 @@ def solve_in_basis(
     """
     if not basis:
         return [] if not any(target) else None
-    k, dim = len(basis), len(basis[0])
-    # Solve B^T c = target by elimination on the augmented k+1 column system.
-    aug = [[Fraction(basis[i][j]) for i in range(k)] + [Fraction(target[j])] for j in range(dim)]
-    piv_rows: list[int] = []
-    row = 0
-    for col in range(k):
-        piv = next((i for i in range(row, dim) if aug[i][col]), None)
-        if piv is None:
-            return None  # basis not independent; caller bug
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        for i in range(dim):
-            if i != row and aug[i][col]:
-                f = aug[i][col] / pv
-                for c in range(col, k + 1):
-                    aug[i][c] -= f * aug[row][c]
-        piv_rows.append(row)
-        row += 1
-    for i in range(row, dim):
-        if aug[i][k]:
-            return None  # inconsistent: target outside the span
-    return [aug[piv_rows[c]][k] / aug[piv_rows[c]][c] for c in range(k)]
-
-
-def _primitive(vec: Sequence[Fraction]) -> IntVec:
-    from math import lcm
-
-    den = lcm(*(x.denominator for x in vec)) if vec else 1
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    # Solve B^T c = target: one augmented row per coordinate.
+    augmented = ([b[j] for b in basis] + [target[j]] for j in range(len(target)))
+    span = _span_of(augmented, len(basis) + 1)
+    solved = span.solve()
+    if solved is None:
+        return None
+    nums, den = solved
+    return [Fraction(n, den) for n in nums]
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], dim: int) -> list[IntVec]:
@@ -147,17 +151,4 @@ def integer_kernel(rows: Sequence[Sequence[int]], dim: int) -> list[IntVec]:
 
     Returns dim - rank vectors; for an empty row list, the standard basis.
     """
-    span = IncrementalSpan(dim)
-    for r in rows:
-        span.add(r)
-    ref, pivots = span.rows, span.pivots
-    free = [c for c in range(dim) if c not in pivots]
-    kernel: list[IntVec] = []
-    for f in free:
-        v = [Fraction(0)] * dim
-        v[f] = Fraction(1)
-        # Echelon rows are reduced, so each pivot coordinate solves directly.
-        for row, p in zip(ref, pivots):
-            v[p] = -row[f]
-        kernel.append(_primitive(v))
-    return kernel
+    return _span_of(rows, dim).kernel()

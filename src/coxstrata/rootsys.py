@@ -11,12 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidRank, NotSpanClosed, UnrecognizedDiagram
-from .linalg import IncrementalSpan, bareiss_rank, integer_kernel, solve_in_basis
+from .errors import (
+    InvalidRank,
+    InvariantViolation,
+    MagnitudeOverflow,
+    NotSpanClosed,
+    UnrecognizedDiagram,
+)
+from .linalg import bareiss_rank, integer_kernel, solve_in_basis
 
 RANK_BOUNDS = {
     "A": (1, None),
@@ -68,10 +75,6 @@ class CartanType:
     @property
     def is_irreducible(self) -> bool:
         return len(self.factors) == 1
-
-    @property
-    def is_classical(self) -> bool:
-        return all(f in "ABCD" for f, _ in self.factors)
 
     def __str__(self) -> str:
         if not self.factors:
@@ -203,18 +206,18 @@ class RootSystem:
         self._pos_matrix = np.array(
             [self.roots[i] for i in self.positives], dtype=np.int64
         )
+        self._row_l1 = max(sum(map(abs, v)) for v in self.roots)
         self.full_mask = (1 << self.d) - 1
         self._generic = self._pick_generic()
         self._refl_perm: dict[int, list[int]] = {}
 
     def _expand(self, simple_coords, v) -> tuple[int, ...]:
         coeffs = solve_in_basis(simple_coords, v)
-        assert coeffs is not None, "root outside simple-root span"
-        out = []
-        for c in coeffs:
-            assert c.denominator == 1, "non-integral simple-root expansion"
-            out.append(int(c))
-        return tuple(out)
+        if coeffs is None:
+            raise InvariantViolation(f"root {v} outside the simple-root span")
+        if any(c.denominator != 1 for c in coeffs):
+            raise InvariantViolation(f"root {v} has a non-integral simple-root expansion")
+        return tuple(int(c) for c in coeffs)
 
     def _pick_generic(self) -> tuple[int, ...]:
         maxc = max(abs(x) for v in self.roots for x in v)
@@ -239,9 +242,6 @@ class RootSystem:
                 pos = self.pos_of[self.neg[idx]]
             mask |= 1 << pos
         return mask
-
-    def mask_of_roots(self, coords: Iterable[Sequence[int]]) -> int:
-        return self.as_mask(self.index[tuple(v)] for v in coords)
 
     def positive_indices(self, mask: int) -> list[int]:
         return [self.positives[p] for p in range(self.d) if mask >> p & 1]
@@ -282,18 +282,25 @@ class RootSystem:
             mask &= mask - 1
         return out
 
+    def _kernel_images(self, kernel: Sequence[Sequence[int]]) -> np.ndarray:
+        """Positive roots times the kernel vectors: a d x len(kernel) int64 array.
+
+        Raises MagnitudeOverflow when an entry could exceed int64.
+        """
+        kmax = max(map(abs, chain.from_iterable(kernel)), default=0)
+        if kmax * self._row_l1 >= 1 << 62:
+            raise MagnitudeOverflow(
+                f"kernel entry {kmax} times root size {self._row_l1} does not fit int64"
+            )
+        kmat = np.array(kernel, dtype=np.int64).reshape(len(kernel), self.ambient)
+        return self._pos_matrix @ kmat.T
+
     def span_mask(self, vectors: Sequence[Sequence[int]]) -> int:
         """Mask of all roots lying in the rational span of the vectors."""
-        span = IncrementalSpan(self.ambient)
-        basis = [tuple(v) for v in vectors if span.add(v)]
-        if span.rank == 0:
+        kernel = integer_kernel(vectors, self.ambient)
+        if len(kernel) == self.ambient:
             return 0
-        kernel = integer_kernel(basis, self.ambient)
-        if not kernel:
-            return self.full_mask
-        kmat = np.array(kernel, dtype=np.int64).T
-        assert int(np.abs(kmat).max()) < 1 << 40, "kernel entries out of safe range"
-        hits = ~np.any(self._pos_matrix @ kmat, axis=1)
+        hits = ~np.any(self._kernel_images(kernel), axis=1)
         return int.from_bytes(np.packbits(hits, bitorder="little").tobytes(), "little")
 
     def __repr__(self) -> str:

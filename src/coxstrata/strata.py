@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .errors import InvalidId, NotInVariety, SpanDeficient
+from .errors import InvalidId, InvariantViolation, NotInVariety, SpanDeficient
 from .flats import IntersectionLattice
 from .linalg import IncrementalSpan, solve_in_basis
 from .rootsys import RootSystem, closure
@@ -104,7 +104,8 @@ def membership(
     basis = [rs.roots[rs.positives[p]] for p in basis_positions]
     for p in finite:
         coeffs = solve_in_basis(basis, rs.roots[rs.positives[p]])
-        assert coeffs is not None
+        if coeffs is None:
+            raise InvariantViolation(f"root at position {p} lies outside the basis span")
         expected = sum(
             (c * point.values[b] for c, b in zip(coeffs, basis_positions)), Fraction(0)
         )
@@ -194,7 +195,8 @@ def generate_relations(rs: RootSystem) -> list[tuple[int, ...]]:
         if p in basis_positions:
             continue
         coeffs = solve_in_basis(basis, rs.roots[rs.positives[p]])
-        assert coeffs is not None
+        if coeffs is None:
+            raise InvariantViolation(f"root at position {p} lies outside the basis span")
         relations.append(_clear_relation(rs, p, basis_positions, coeffs))
     return relations
 

@@ -67,6 +67,12 @@ def test_member_fixtures(capsys):
     assert main(["member", "A2", "--point", "1,2"]) == 2
 
 
+def test_member_zero_denominator_is_a_usage_error(capsys):
+    assert main(["member", "A2", "--point", "1/0,2,3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "zero denominator" in err
+
+
 def test_member_coordinate_order_matches_rootinfo(capsys):
     # the CLI point order is the printed positive-root order
     assert main(["rootinfo", "A2", "--json"]) == 0

@@ -1,11 +1,26 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from coxstrata.errors import InvalidId, RankOutOfRange, ResourceLimit
+import coxstrata
+from coxstrata.betti import betti_row_closed_form
+from coxstrata.errors import (
+    InvalidId,
+    InvalidSetting,
+    MagnitudeOverflow,
+    RankOutOfRange,
+    ResourceLimit,
+)
 from coxstrata.flats import (
+    _expand_flat,
+    _resolve_workers,
     brute_force_flats,
     build_lattice,
     char_poly,
@@ -237,3 +252,96 @@ def test_workers_do_not_change_output():
         (f.rank, f.mask) for f in parallel.flats
     ]
     assert serial.covers == parallel.covers
+
+
+def _fraction_span(rows):
+    """Oracle: membership in the rational span of rows, by Fraction elimination."""
+    echelon = []
+
+    def reduce(vec):
+        v = [Fraction(x) for x in vec]
+        for p, row in echelon:
+            if v[p]:
+                f = v[p]
+                v = [a - f * b for a, b in zip(v, row)]
+        return v
+
+    for r in rows:
+        v = reduce(r)
+        p = next((c for c, x in enumerate(v) if x), None)
+        if p is not None:
+            echelon.append((p, [x / v[p] for x in v]))
+    return lambda vec: not any(reduce(vec))
+
+
+def test_expand_flat_children_are_closures_of_one_more_root(lattice_of):
+    """Children of every flat equal {closure(mask | 1 << p) : p outside the mask}."""
+    for name in ["A3", "B3", "C3", "D4", "G2", "F4", "B4"]:
+        rs, lat = lattice_of(name)
+        roots = [rs.roots[i] for i in rs.positives]
+        for flat in lat.flats:
+            flat_roots = [roots[p] for p in rs.positions(flat.mask)]
+            expected = set()
+            covered = flat.mask
+            for p in range(rs.d):
+                # A root in an earlier closure has that same closure: both
+                # spans have dimension rank + 1 and one contains the other.
+                if covered >> p & 1:
+                    continue
+                in_span = _fraction_span(flat_roots + [roots[p]])
+                child = sum(1 << x for x in range(rs.d) if in_span(roots[x]))
+                expected.add(child)
+                covered |= child
+            children = _expand_flat(rs, flat.mask)
+            assert len(children) == len(set(children)), (name, flat.id)
+            assert set(children) == expected, (name, flat.id)
+
+
+@pytest.mark.parametrize("name", ["A7", "B6", "C6", "D6"])
+def test_enumeration_matches_closed_form_row(name):
+    counts = enumerate_rank_counts(build_root_system(name))
+    assert list(reversed(counts)) == betti_row_closed_form(name)
+
+
+def test_magnitude_guard_rejects_oversized_kernel():
+    rs = build_root_system("B3")
+    assert rs._kernel_images([(1, 0, 0)]).shape == (rs.d, 1)
+    for big in (1 << 61, 1 << 70):
+        with pytest.raises(MagnitudeOverflow):
+            rs._kernel_images([(big, 0, 0)])
+
+
+def test_magnitude_guard_survives_python_O():
+    code = (
+        "from coxstrata.errors import MagnitudeOverflow\n"
+        "from coxstrata.rootsys import build_root_system\n"
+        "try:\n"
+        "    build_root_system('B3')._kernel_images([(1 << 61, 0, 0)])\n"
+        "except MagnitudeOverflow:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(coxstrata.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "raised"
+
+
+def test_resolve_workers_clamps_and_validates(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    monkeypatch.delenv("COXSTRATA_THREADS", raising=False)
+    assert _resolve_workers(None) == 1
+    assert _resolve_workers(3) == 3
+    assert _resolve_workers(64) == 4
+    assert _resolve_workers(0) == 1
+    for env, expected in [("2", 2), ("4", 4), ("1000000", 4), (" 3 ", 3)]:
+        monkeypatch.setenv("COXSTRATA_THREADS", env)
+        assert _resolve_workers(None) == expected
+    for bad in ["0", "-2", "two", "1.5"]:
+        monkeypatch.setenv("COXSTRATA_THREADS", bad)
+        with pytest.raises(InvalidSetting, match="COXSTRATA_THREADS"):
+            _resolve_workers(None)
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    monkeypatch.setenv("COXSTRATA_THREADS", "8")
+    assert _resolve_workers(None) == 1
