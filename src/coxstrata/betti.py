@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .errors import InvalidRank, RankOutOfRange
+from .errors import InvalidRank, InvariantViolation, RankOutOfRange
 from .rootsys import CartanType
 
 EXCEPTIONAL_ROWS: dict[str, tuple[int, ...]] = {
@@ -170,7 +170,8 @@ class TruncatedSeries2:
 
     def exp(self) -> "TruncatedSeries2":
         """exp of a series with zero constant term (nilpotent powers)."""
-        assert self.coeffs[0][0] == 0, "exp needs zero constant term"
+        if self.coeffs[0][0] != 0:
+            raise InvariantViolation("exp needs zero constant term")
         one = TruncatedSeries2.term(self.max_q, self.max_t, 1)
         out = one
         power = one
@@ -180,11 +181,13 @@ class TruncatedSeries2:
         return out
 
     def shift_down(self, dq: int, dt: int) -> "TruncatedSeries2":
-        """Exact division by the monomial q^dq t^dt; asserts divisibility."""
+        """Exact division by the monomial q^dq t^dt; raises unless divisible."""
         for a in range(min(dq, self.max_q + 1)):
-            assert not any(self.coeffs[a]), "not divisible by the q power"
+            if any(self.coeffs[a]):
+                raise InvariantViolation("not divisible by the q power")
         for a in range(self.max_q + 1):
-            assert not any(self.coeffs[a][:dt]), "not divisible by the t power"
+            if any(self.coeffs[a][:dt]):
+                raise InvariantViolation("not divisible by the t power")
         out = TruncatedSeries2(self.max_q - dq, self.max_t - dt)
         for a in range(out.max_q + 1):
             for b in range(out.max_t + 1):
@@ -232,7 +235,8 @@ def series_coefficients(family: str, max_r: int) -> list[list[int]]:
         row = []
         for k in range(r + 1):
             c = series[k, r] * weight(r)
-            assert c.denominator == 1, "series coefficient not integral"
+            if c.denominator != 1:
+                raise InvariantViolation("series coefficient not integral")
             row.append(int(c))
         table.append(row)
     return table

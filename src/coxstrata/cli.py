@@ -1,7 +1,7 @@
 """Command-line surface: tables, JSON/CSV export, verification, caching.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or I/O error.
-Environment: COXSTRATA_CACHE (cache directory, default ./.coxstrata),
+Environment: COXSTRATA_CACHE (lattice cache directory, default ./.coxstrata),
 COXSTRATA_THREADS (worker count for lattice sweeps).
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import os
 import re
@@ -34,7 +33,7 @@ from .strata import ExtendedPoint, Rejection, membership
 from .weyl import parabolic_summary
 
 CACHE_MAGIC = b"CXLT"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 TYPE_RE = re.compile(r"^([A-Ga-g])([0-9]+)$")
 
 
@@ -45,70 +44,57 @@ def _parse_type(text: str) -> CartanType:
     return CartanType.parse(m.group(1).upper() + m.group(2))
 
 
-def _root_order_checksum(rs: RootSystem) -> bytes:
-    blob = b"|".join(
-        b",".join(str(x).encode() for x in rs.roots[i]) for i in rs.positives
-    )
-    return hashlib.sha256(blob).digest()
-
-
 # -- binary lattice cache ---------------------------------------------------
+#
+# A cache file is a 40-byte header (magic, version, one SHA-256 over the
+# positive-root order and the payload) and a payload: the flat count, each
+# flat's rank byte and mask, then the cover pairs.  The digest binds the file
+# to its root system and rejects any corrupted byte.
+
+
+def _cache_header(rs: RootSystem, payload: bytes) -> bytes:
+    h = hashlib.sha256(
+        b"|".join(b",".join(str(x).encode() for x in rs.roots[i]) for i in rs.positives)
+    )
+    h.update(payload)
+    return CACHE_MAGIC + struct.pack("<I", CACHE_VERSION) + h.digest()
 
 
 def save_lattice_cache(lat: IntersectionLattice, path: Path) -> None:
-    rs = lat.rs
-    mask_bytes = (rs.d + 7) // 8
-    with open(path, "wb") as fh:
-        name = str(rs.ctype).encode()
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<I", CACHE_VERSION))
-        fh.write(struct.pack("<H", len(name)))
-        fh.write(name)
-        fh.write(struct.pack("<II Q", rs.rank, rs.d, len(lat.flats)))
-        fh.write(_root_order_checksum(rs))
-        for f in lat.flats:
-            fh.write(struct.pack("<B", f.rank))
-            fh.write(f.mask.to_bytes(mask_bytes, "little"))
-        fh.write(struct.pack("<Q", len(lat.covers)))
-        for lo, hi in lat.covers:
-            fh.write(struct.pack("<II", lo, hi))
+    mask_bytes = (lat.rs.d + 7) // 8
+    payload = struct.pack("<Q", len(lat.flats))
+    payload += b"".join(bytes([f.rank]) + f.mask.to_bytes(mask_bytes, "little") for f in lat.flats)
+    payload += b"".join(struct.pack("<II", lo, hi) for lo, hi in lat.covers)
+    # A reader sees the old file or the whole new one, never a partial write.
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(_cache_header(lat.rs, payload) + payload)
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_lattice_cache(rs: RootSystem, path: Path) -> IntersectionLattice | None:
-    """Read a cache; any header mismatch returns None (caller recomputes)."""
+    """Read a cache; another version, root system or any corrupted byte returns None."""
     try:
         data = path.read_bytes()
     except OSError:
         return None
-    try:
-        view = io.BytesIO(data)
-        if view.read(4) != CACHE_MAGIC:
-            return None
-        (version,) = struct.unpack("<I", view.read(4))
-        if version != CACHE_VERSION:
-            return None
-        (name_len,) = struct.unpack("<H", view.read(2))
-        name = view.read(name_len).decode()
-        rank, d, n_flats = struct.unpack("<IIQ", view.read(16))
-        checksum = view.read(32)
-        if (
-            name != str(rs.ctype)
-            or rank != rs.rank
-            or d != rs.d
-            or checksum != _root_order_checksum(rs)
-        ):
-            return None
-        mask_bytes = (d + 7) // 8
-        levels: list[list[int]] = [[] for _ in range(rank + 1)]
-        for _ in range(n_flats):
-            (frank,) = struct.unpack("<B", view.read(1))
-            mask = int.from_bytes(view.read(mask_bytes), "little")
-            levels[frank].append(mask)
-        (n_covers,) = struct.unpack("<Q", view.read(8))
-        covers = [struct.unpack("<II", view.read(8)) for _ in range(n_covers)]
-        return IntersectionLattice(rs, levels, [tuple(c) for c in covers])
-    except (struct.error, ValueError, IndexError):
+    payload = memoryview(data)[40:]
+    if data[:40] != _cache_header(rs, payload):
         return None
+    try:
+        (n_flats,) = struct.unpack_from("<Q", payload)
+        step = 1 + (rs.d + 7) // 8
+        end = 8 + n_flats * step
+        levels: list[list[int]] = [[] for _ in range(rs.rank + 1)]
+        for pos in range(8, end, step):
+            levels[payload[pos]].append(int.from_bytes(payload[pos + 1 : pos + step], "little"))
+        covers = list(struct.iter_unpack("<II", payload[end:]))
+    except (struct.error, IndexError):  # only a hand-made file with a valid digest gets here
+        return None
+    return IntersectionLattice(rs, levels, covers)
 
 
 def _cache_dir(arg: str | None) -> Path:
@@ -119,15 +105,17 @@ def _cache_dir(arg: str | None) -> Path:
 def _lattice_for(
     rs: RootSystem, cache_dir: Path | None, allow_huge: bool
 ) -> IntersectionLattice:
-    budget = None if allow_huge else DEFAULT_FLAT_BUDGET
-    if cache_dir is None:
-        return build_lattice(rs, max_flats=budget)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / f"{rs.ctype}.cxlt"
-    lat = load_lattice_cache(rs, path)
+    """The one way a command obtains a lattice: from the cache, else built and cached."""
+    path = None if cache_dir is None else cache_dir / f"{rs.ctype}.cxlt"
+    lat = None if path is None else load_lattice_cache(rs, path)
     if lat is None:
-        lat = build_lattice(rs, max_flats=budget)
-        save_lattice_cache(lat, path)
+        lat = build_lattice(rs, max_flats=None if allow_huge else DEFAULT_FLAT_BUDGET)
+        if path is not None:
+            try:
+                cache_dir.mkdir(parents=True, exist_ok=True)
+                save_lattice_cache(lat, path)
+            except OSError as exc:
+                print(f"warning: lattice cache not written: {exc}", file=sys.stderr)
     return lat
 
 
@@ -248,7 +236,6 @@ def cmd_lattice(args) -> int:
 
 def cmd_good(args) -> int:
     rs = build_root_system(_parse_type(args.type))
-    lat = build_lattice(rs)
     if args.bds:
         for (i, j), mask in bds_candidates(rs):
             print(
@@ -256,6 +243,7 @@ def cmd_good(args) -> int:
                 f"{classify_subsystem(rs, mask)} positives {rs.positions(mask)}"
             )
         return 0
+    lat = _lattice_for(rs, _cache_dir(None), False)
     for fid in lat.by_rank[rs.rank - 1]:
         mask = lat.flats[fid].mask
         line = f"flat {fid}: {classify_subsystem(rs, mask)} positives {rs.positions(mask)}"
@@ -267,7 +255,7 @@ def cmd_good(args) -> int:
 
 def cmd_orbits(args) -> int:
     rs = build_root_system(_parse_type(args.type))
-    lat = build_lattice(rs)
+    lat = _lattice_for(rs, _cache_dir(None), False)
     summary = parabolic_summary(rs, lat)
     print(f"type {rs.ctype}: |W| = {summary.weyl_order}, {summary.class_count} classes")
     for rank, recs in enumerate(summary.per_rank):
@@ -281,7 +269,7 @@ def cmd_orbits(args) -> int:
 
 def cmd_cup(args) -> int:
     rs = build_root_system(_parse_type(args.type))
-    lat = build_lattice(rs)
+    lat = _lattice_for(rs, _cache_dir(None), False)
     rows = []
     for atom in lat.atoms():
         for f in lat.flats:
@@ -327,8 +315,8 @@ def _parse_point(text: str, rs: RootSystem) -> ExtendedPoint:
 
 def cmd_member(args) -> int:
     rs = build_root_system(_parse_type(args.type))
-    lat = build_lattice(rs)
     point = _parse_point(args.point, rs)
+    lat = _lattice_for(rs, _cache_dir(None), False)
     result = membership(rs, lat, point)
     if isinstance(result, Rejection):
         print(f"not in variety: {result.reason}")
@@ -399,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cup", help="atom x flat multiplication table")
     p.add_argument("type")
-    p.add_argument("--table", action="store_true")
     p.add_argument("--format", choices=["json", "markdown"], default="markdown")
     p.set_defaults(func=cmd_cup)
 
@@ -419,6 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value such as "-1,2,3" as an option; bind it to its flag.
+    if "--point" in argv[:-1]:
+        i = argv.index("--point")
+        argv[i : i + 2] = [f"--point={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

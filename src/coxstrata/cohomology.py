@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import LatticeMismatch
+from .errors import InvariantViolation, LatticeMismatch
 from .flats import IntersectionLattice, join, whitney_second
 from .linalg import IncrementalSpan
 
@@ -99,5 +99,6 @@ def factor_degree2(lat: IntersectionLattice, fid: int) -> list[int]:
     for idx in rs.positive_indices(flat.mask):
         if span.add(rs.roots[idx]):
             atoms.append(lat.atom_of(idx))
-    assert len(atoms) == flat.rank, "flat roots must span the flat rank"
+    if len(atoms) != flat.rank:
+        raise InvariantViolation("flat roots must span the flat rank")
     return atoms

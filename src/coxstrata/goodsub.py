@@ -19,7 +19,8 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, Iterator
 
-from .errors import MalformedDescriptor, NotClassical, NotGood, StarViolation
+from .errors import InvariantViolation, MalformedDescriptor, NotClassical, NotGood, StarViolation
+from .flats import IntersectionLattice
 from .rootsys import (
     CartanType,
     RootSystem,
@@ -37,12 +38,8 @@ def is_k_step_good(rs: RootSystem, subset: int | Iterable[int], k: int) -> bool:
     return subsystem_rank(rs, mask) == rs.rank - k and closure(rs, mask) == mask
 
 
-def enumerate_good(rs: RootSystem, lat=None) -> list[int]:
+def enumerate_good(rs: RootSystem, lat: IntersectionLattice) -> list[int]:
     """All rank-(r-1) flats: the boundary-component subsystems."""
-    from .flats import build_lattice
-
-    if lat is None:
-        lat = build_lattice(rs)
     return [lat.flats[fid].mask for fid in lat.by_rank[rs.rank - 1]]
 
 
@@ -62,13 +59,10 @@ def bds_candidates(rs: RootSystem) -> list[tuple[tuple[int, int], int]]:
     return out
 
 
-def bds_covers_all(rs: RootSystem, lat=None) -> bool:
+def bds_covers_all(rs: RootSystem, lat: IntersectionLattice) -> bool:
     """Every candidate is good and every good subsystem is W-conjugate to one."""
-    from .flats import build_lattice
     from .weyl import orbit_of_flat
 
-    if lat is None:
-        lat = build_lattice(rs)
     candidates = bds_candidates(rs)
     if not all(is_k_step_good(rs, mask, 1) for _, mask in candidates):
         return False
@@ -252,7 +246,8 @@ def param_F(rs: RootSystem, subsystem: int | Iterable[int]) -> frozenset[Descrip
         by_pair.setdefault((i, j), set()).add(s)
     chain = sorted(ij for ij, signs in by_pair.items() if len(signs) == 2)
     for (i1, j1), (i2, j2) in zip(chain, chain[1:]):
-        assert j1 == i2, "chain pairs must share endpoints"
+        if j1 != i2:
+            raise InvariantViolation("chain pairs must share endpoints")
     for i, j in chain[:-1]:
         kept.discard((i, j, "+"))
     return frozenset(kept)

@@ -140,7 +140,7 @@ def _reflect_coords(v: Sequence[int], mirror: Sequence[int]) -> tuple[int, ...]:
     den = _dot(mirror, mirror)
     q, rem = divmod(num, den)
     if rem:
-        raise AssertionError("non-integral Cartan pairing")
+        raise InvariantViolation("non-integral Cartan pairing")
     return tuple(a - q * b for a, b in zip(v, mirror))
 
 
@@ -183,13 +183,15 @@ class RootSystem:
         self.heights = [height[v] for v in self.roots]
         self.simple_coefficients = [coeff_of[v] for v in self.roots]
         self.positives = [i for i in range(2 * self.d) if self.heights[i] > 0]
-        assert len(self.positives) == self.d
+        if len(self.positives) != self.d:
+            raise InvariantViolation("roots do not split into positives and negatives")
         self.pos_of = {idx: p for p, idx in enumerate(self.positives)}
         self.simples = [self.index[v] for v in simple_coords]
         self.highest = max(range(2 * self.d), key=lambda i: self.heights[i])
 
         theta_coeffs = self.simple_coefficients[self.highest]
-        assert all(m >= 1 for m in theta_coeffs)
+        if not all(m >= 1 for m in theta_coeffs):
+            raise InvariantViolation("highest root misses a simple root")
         self.labels = [1] + list(theta_coeffs)
 
         # Affine diagram: node 0 is -theta, nodes 1..r the simple roots.
@@ -227,7 +229,7 @@ class RootSystem:
             values = [_dot(g, v) for v in self.roots]
             if 0 not in values and len(set(values)) == len(values):
                 return g
-        raise AssertionError("no generic functional found")
+        raise InvariantViolation("no generic functional found")
 
     # -- subset plumbing ------------------------------------------------
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Sequence
 
-from .errors import MalformedWord
+from .errors import InvariantViolation, MalformedWord
 from .flats import IntersectionLattice
 from .rootsys import CartanType, RootSystem, classify_subsystem
 
@@ -100,9 +100,11 @@ def parabolic_summary(rs: RootSystem, lat: IntersectionLattice) -> OrbitSummary:
         while remaining:
             rep = min(remaining)
             orbit = orbit_of_flat(rs, lat, rep)
-            assert orbit <= remaining, "orbit escaped its rank level"
+            if not orbit <= remaining:
+                raise InvariantViolation("orbit escaped its rank level")
             size = len(orbit)
-            assert w % size == 0, "orbit size must divide the group order"
+            if w % size:
+                raise InvariantViolation("orbit size must divide the group order")
             records.append(
                 OrbitRecord(rep, size, w // size, classify_subsystem(rs, lat.flat(rep).mask))
             )

@@ -5,6 +5,12 @@ import pytest
 from coxstrata import build_lattice, build_root_system
 
 
+@pytest.fixture(autouse=True)
+def _private_lattice_cache(tmp_path, monkeypatch):
+    """Each test gets its own empty lattice cache, never ./.coxstrata."""
+    monkeypatch.setenv("COXSTRATA_CACHE", str(tmp_path / "lattice-cache"))
+
+
 @pytest.fixture(scope="session")
 def lattice_of():
     """Session-wide cache of (root system, lattice) pairs by type string."""

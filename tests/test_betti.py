@@ -16,7 +16,7 @@ from coxstrata.betti import (
     series_coefficients,
     stirling,
 )
-from coxstrata.errors import InvalidRank, RankOutOfRange
+from coxstrata.errors import InvalidRank, InvariantViolation, RankOutOfRange
 
 
 def partitions_into_blocks(n: int, k: int) -> int:
@@ -140,5 +140,5 @@ def test_truncated_series_arithmetic():
 
 def test_shift_down_asserts_divisibility():
     t = TruncatedSeries2.term(2, 2, 1, b=1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantViolation):
         t.shift_down(1, 0)

@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import struct
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
 from coxstrata.cli import load_lattice_cache, main, save_lattice_cache
 from coxstrata.flats import build_lattice
 from coxstrata.rootsys import build_root_system
@@ -71,6 +78,14 @@ def test_member_zero_denominator_is_a_usage_error(capsys):
     assert main(["member", "A2", "--point", "1/0,2,3"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "zero denominator" in err
+
+
+def test_member_point_may_start_negative(capsys):
+    assert main(["member", "A2", "--point", "-1,2,1"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["member", "A2", "--point=-1,2,1"]) == 0
+    assert capsys.readouterr().out == spaced
+    assert spaced.startswith("stratum rank 2")
 
 
 def test_member_coordinate_order_matches_rootinfo(capsys):
@@ -147,11 +162,11 @@ def test_good_and_orbits_and_cup(capsys):
     out = capsys.readouterr().out
     assert "|W| = 8" in out and "4 classes" in out
 
-    assert main(["cup", "A2", "--table"]) == 0
+    assert main(["cup", "A2"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("| atom | flat | product |")
 
-    assert main(["cup", "A2", "--table", "--format", "json"]) == 0
+    assert main(["cup", "A2", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["type"] == "A2" and len(payload["products"]) == 3 * 5
 
@@ -186,3 +201,92 @@ def test_usage_errors_exit_2():
     assert result.returncode == 2
     result = run_cli("nonsense")
     assert result.returncode == 2
+    assert main(["cup", "A2", "--table"]) == 2
+
+
+# -- the one lattice path and its cache ---------------------------------------
+
+LATTICE_COMMANDS = [
+    ["good", "B3"],
+    ["good", "A3", "--classical-param"],
+    ["orbits", "B3"],
+    ["cup", "A3"],
+    ["member", "A3", "--point", "-1,2,1,3,2,1"],
+]
+
+
+def _refuse_to_build(*args, **kwargs):
+    raise RuntimeError("build_lattice called")
+
+
+def _cache_file(argv) -> Path:
+    return Path(os.environ["COXSTRATA_CACHE"]) / f"{argv[1]}.cxlt"
+
+
+@pytest.mark.parametrize("argv", LATTICE_COMMANDS, ids=" ".join)
+def test_lattice_commands_answer_the_same_cold_and_warm(argv, monkeypatch, capsys):
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    assert _cache_file(argv).exists()
+    monkeypatch.setattr("coxstrata.cli.build_lattice", _refuse_to_build)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold
+
+
+def test_good_bds_builds_no_lattice(monkeypatch, capsys):
+    monkeypatch.setattr("coxstrata.cli.build_lattice", _refuse_to_build)
+    assert main(["good", "B3", "--bds"]) == 0
+    assert "nodes" in capsys.readouterr().out
+    assert not Path(os.environ["COXSTRATA_CACHE"]).exists()
+
+
+def _save_version_1_cache(lat, path):
+    """The version-1 layout: a named header and a root-order checksum, no payload digest."""
+    rs = lat.rs
+    name = str(rs.ctype).encode()
+    order = b"|".join(b",".join(str(x).encode() for x in rs.roots[i]) for i in rs.positives)
+    blob = [b"CXLT", struct.pack("<IH", 1, len(name)), name]
+    blob += [struct.pack("<IIQ", rs.rank, rs.d, len(lat.flats)), hashlib.sha256(order).digest()]
+    blob += [bytes([f.rank]) + f.mask.to_bytes((rs.d + 7) // 8, "little") for f in lat.flats]
+    blob += [struct.pack("<Q", len(lat.covers))]
+    blob += [struct.pack("<II", lo, hi) for lo, hi in lat.covers]
+    path.write_bytes(b"".join(blob))
+
+
+def test_corrupt_or_old_cache_is_rebuilt(tmp_path, capsys):
+    argv = ["orbits", "B3"]
+    rs, path = build_root_system("B3"), _cache_file(argv)
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    good = path.read_bytes()
+    for i in range(len(good)):
+        flipped = bytearray(good)
+        flipped[i] ^= 1 << (i % 8)
+        # a fresh file each time: rewriting one file hundreds of times is slow on ext4
+        corrupt = tmp_path / f"flipped-{i}.cxlt"
+        corrupt.write_bytes(bytes(flipped))
+        assert load_lattice_cache(rs, corrupt) is None, i
+    path.write_bytes(bytes(flipped))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    assert path.read_bytes() == good
+
+    _save_version_1_cache(build_lattice(rs), path)
+    assert load_lattice_cache(rs, path) is None
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    assert path.read_bytes() == good
+
+
+def test_unwritable_cache_still_answers(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "a-regular-file"
+    blocker.write_text("")
+    for argv in LATTICE_COMMANDS + [["lattice", "A3", "--export", "csv"]]:
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setenv("COXSTRATA_CACHE", str(blocker / "cache"))
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert "lattice cache not written" in captured.err
+        monkeypatch.setenv("COXSTRATA_CACHE", str(tmp_path / "cache"))

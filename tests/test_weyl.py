@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import coxstrata
 from conftest import pos_of_coords
-from coxstrata.errors import MalformedWord
-from coxstrata.flats import join, whitney_second
+from coxstrata.errors import InvariantViolation, MalformedWord
+from coxstrata.flats import IntersectionLattice, join, whitney_second
 from coxstrata.rootsys import classify_subsystem
 from coxstrata.strata import ExtendedPoint
 from coxstrata.weyl import (
@@ -154,3 +159,36 @@ def test_malformed_word(lattice_of):
         weyl_act_point(rs, [3], ExtendedPoint((None, None, None)))
     with pytest.raises(MalformedWord):
         weyl_act_point(rs, [0], ExtendedPoint((None, None, None)))
+
+
+def _misranked(lat):
+    """The same flats with one atom moved up into the rank-2 level."""
+    levels = [[lat.flats[i].mask for i in ids] for ids in lat.by_rank]
+    levels[2].insert(0, levels[1].pop())
+    return IntersectionLattice(lat.rs, levels, [])
+
+
+def test_parabolic_summary_rejects_a_misranked_lattice(lattice_of):
+    rs, lat = lattice_of("A2")
+    with pytest.raises(InvariantViolation, match="orbit escaped its rank level"):
+        parabolic_summary(rs, _misranked(lat))
+
+
+def test_parabolic_summary_check_survives_python_O():
+    code = (
+        "from coxstrata import IntersectionLattice, build_lattice, build_root_system\n"
+        "from coxstrata.errors import InvariantViolation\n"
+        "from coxstrata.weyl import parabolic_summary\n"
+        "rs = build_root_system('A2')\n"
+        "levels = [[f.mask for f in build_lattice(rs).flats if f.rank == k] for k in range(3)]\n"
+        "levels[2].insert(0, levels[1].pop())\n"
+        "try:\n"
+        "    parabolic_summary(rs, IntersectionLattice(rs, levels, []))\n"
+        "except InvariantViolation:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(coxstrata.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "raised"
