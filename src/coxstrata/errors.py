@@ -15,10 +15,6 @@ class NotSpanClosed(CoxstrataError):
     """Operation requires a span-closed root subsystem."""
 
 
-class UnrecognizedDiagram(CoxstrataError):
-    """Extracted Dynkin diagram matches no known type (internal bug)."""
-
-
 class ResourceLimit(CoxstrataError):
     """Configured enumeration budget exceeded."""
 

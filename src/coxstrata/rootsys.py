@@ -16,14 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidRank,
-    InvariantViolation,
-    MagnitudeOverflow,
-    NotSpanClosed,
-    UnrecognizedDiagram,
-)
-from .linalg import bareiss_rank, integer_kernel, solve_in_basis
+from .errors import InvalidRank, InvariantViolation, MagnitudeOverflow, NotSpanClosed
+from .linalg import bareiss_rank, integer_kernel
 
 RANK_BOUNDS = {
     "A": (1, None),
@@ -135,12 +129,16 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-def _reflect_coords(v: Sequence[int], mirror: Sequence[int]) -> tuple[int, ...]:
-    num = 2 * _dot(v, mirror)
-    den = _dot(mirror, mirror)
-    q, rem = divmod(num, den)
+def _pairing(v: Sequence[int], mirror: Sequence[int]) -> int:
+    """The Cartan integer 2(v, mirror)/(mirror, mirror)."""
+    q, rem = divmod(2 * _dot(v, mirror), _dot(mirror, mirror))
     if rem:
         raise InvariantViolation("non-integral Cartan pairing")
+    return q
+
+
+def _reflect_coords(v: Sequence[int], mirror: Sequence[int]) -> tuple[int, ...]:
+    q = _pairing(v, mirror)
     return tuple(a - q * b for a, b in zip(v, mirror))
 
 
@@ -161,22 +159,27 @@ class RootSystem:
         simple_coords = _simple_root_coords(family, rank)
         self.ambient = len(simple_coords[0])
 
-        roots = set(simple_coords)
+        # Reflection closure of the simple roots; it reaches every root,
+        # negatives included (s_a(a) = -a).  Reflecting v in simple root j
+        # subtracts the pairing from v's j-th simple-root coefficient.
+        coeff_of = {
+            s: tuple(int(i == j) for i in range(rank)) for j, s in enumerate(simple_coords)
+        }
         frontier = list(simple_coords)
         while frontier:
             new = []
             for v in frontier:
-                for s in simple_coords:
-                    w = _reflect_coords(v, s)
-                    if w not in roots:
-                        roots.add(w)
+                for j, s in enumerate(simple_coords):
+                    q = _pairing(v, s)
+                    w = tuple(a - q * b for a, b in zip(v, s))
+                    if w not in coeff_of:
+                        coeffs = list(coeff_of[v])
+                        coeffs[j] -= q
+                        coeff_of[w] = tuple(coeffs)
                         new.append(w)
             frontier = new
-        roots |= {tuple(-x for x in v) for v in roots}
-
-        coeff_of = {v: self._expand(simple_coords, v) for v in roots}
-        height = {v: sum(coeff_of[v]) for v in roots}
-        self.roots: list[tuple[int, ...]] = sorted(roots, key=lambda v: (height[v], v))
+        height = {v: sum(c) for v, c in coeff_of.items()}
+        self.roots: list[tuple[int, ...]] = sorted(coeff_of, key=lambda v: (height[v], v))
         self.index = {v: i for i, v in enumerate(self.roots)}
         self.d = len(self.roots) // 2
         self.neg = [self.index[tuple(-x for x in v)] for v in self.roots]
@@ -210,26 +213,7 @@ class RootSystem:
         )
         self._row_l1 = max(sum(map(abs, v)) for v in self.roots)
         self.full_mask = (1 << self.d) - 1
-        self._generic = self._pick_generic()
         self._refl_perm: dict[int, list[int]] = {}
-
-    def _expand(self, simple_coords, v) -> tuple[int, ...]:
-        coeffs = solve_in_basis(simple_coords, v)
-        if coeffs is None:
-            raise InvariantViolation(f"root {v} outside the simple-root span")
-        if any(c.denominator != 1 for c in coeffs):
-            raise InvariantViolation(f"root {v} has a non-integral simple-root expansion")
-        return tuple(int(c) for c in coeffs)
-
-    def _pick_generic(self) -> tuple[int, ...]:
-        maxc = max(abs(x) for v in self.roots for x in v)
-        for mult in (1, 2):
-            m = 1 + mult * maxc
-            g = tuple(m ** (self.ambient - 1 - i) for i in range(self.ambient))
-            values = [_dot(g, v) for v in self.roots]
-            if 0 not in values and len(set(values)) == len(values):
-                return g
-        raise InvariantViolation("no generic functional found")
 
     # -- subset plumbing ------------------------------------------------
 
@@ -368,115 +352,58 @@ def additive_closure(rs: RootSystem, subset: int | Iterable[int]) -> int:
     return rs.as_mask(members)
 
 
-def _base_of(rs: RootSystem, mask: int) -> list[int]:
-    """A base of a span-closed subsystem: indecomposable generic-positives."""
-    full = rs.root_indices(mask)
-    positives = [i for i in full if _dot(rs._generic, rs.roots[i]) > 0]
-    pos_coords = {rs.roots[i] for i in positives}
-    base = []
-    for i in positives:
-        v = rs.roots[i]
-        decomposable = any(
-            tuple(a - b for a, b in zip(v, rs.roots[j])) in pos_coords
-            for j in positives
-            if j != i
-        )
-        if not decomposable:
-            base.append(i)
-    return base
-
-
 def classify_subsystem(rs: RootSystem, subset: int | Iterable[int]) -> CartanType:
     """Cartan type of a closed subsystem, as a canonically ordered product.
 
     Any additively closed, negation-closed subset is itself a root
-    system, so a base can be extracted; span-closed inputs (flats) are
-    the common case.
+    system; span-closed inputs (flats) are the common case.  Its
+    irreducible components are the classes of its positive roots under
+    "not orthogonal", and each is named by its rank and root counts.
     """
     mask = rs.as_mask(subset)
     if mask == 0:
         return CartanType(())
     if closure(rs, mask) != mask and not is_closed(rs, mask):
         raise NotSpanClosed("subsystem is not additively closed")
-    base = _base_of(rs, mask)
-    vecs = [rs.roots[i] for i in base]
-    n = len(vecs)
-    cartan = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            cartan[i][j] = 2 * _dot(vecs[i], vecs[j]) // _dot(vecs[j], vecs[j])
-
-    mult = [[cartan[i][j] * cartan[j][i] if i != j else 0 for j in range(n)] for i in range(n)]
-    seen = [False] * n
+    left = [rs.roots[i] for i in rs.positive_indices(mask)]
     factors = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in range(n):
-                if not seen[v] and mult[u][v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        factors.append(_match_component(comp, mult, vecs))
+    while left:
+        comp, left = left[:1], left[1:]
+        for v in comp:  # comp grows while it is scanned
+            rest = []
+            for w in left:
+                (comp if _dot(v, w) else rest).append(w)
+            left = rest
+        norms = [_dot(v, v) for v in comp]
+        factors.append(_irreducible_type(bareiss_rank(comp), len(comp), norms.count(min(norms))))
     return CartanType(tuple(factors))
 
 
-def _match_component(comp: list[int], mult, vecs) -> tuple[str, int]:
-    n = len(comp)
-    if n == 1:
-        return ("A", 1)
-    edges = [(u, v) for u in comp for v in comp if u < v and mult[u][v]]
-    if len(edges) != n - 1:
-        raise UnrecognizedDiagram("component is not a tree")
-    degree = {u: sum(1 for v in comp if mult[u][v]) for u in comp}
-    triples = [e for e in edges if mult[e[0]][e[1]] == 3]
-    doubles = [e for e in edges if mult[e[0]][e[1]] == 2]
-    if triples:
-        if n == 2 and not doubles:
-            return ("G", 2)
-        raise UnrecognizedDiagram("triple edge in a large component")
-    if doubles:
-        if len(doubles) != 1 or max(degree.values()) > 2:
-            raise UnrecognizedDiagram("bad double-edge pattern")
-        u, v = doubles[0]
-        if n == 2:
-            return ("B", 2)
-        if degree[u] == 2 and degree[v] == 2:
-            if n == 4:
-                return ("F", 4)
-            raise UnrecognizedDiagram("interior double edge outside F4")
-        end, inner = (u, v) if degree[u] == 1 else (v, u)
-        norm_end = _dot(vecs[end], vecs[end])
-        norm_inner = _dot(vecs[inner], vecs[inner])
-        return ("B", n) if norm_end < norm_inner else ("C", n)
-    if max(degree.values()) <= 2:
-        return ("A", n)
-    branch = [u for u in comp if degree[u] == 3]
-    if len(branch) != 1 or max(degree.values()) > 3:
-        raise UnrecognizedDiagram("multiple branch nodes")
-    b = branch[0]
-    arms = []
-    for nb in (v for v in comp if mult[b][v]):
-        length, prev, cur = 1, b, nb
-        while True:
-            nxt = [w for w in comp if mult[cur][w] and w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[:2] == [1, 1]:
-        return ("D", n)
-    if arms == [1, 2, 2]:
-        return ("E", 6)
-    if arms == [1, 2, 3]:
-        return ("E", 7)
-    if arms == [1, 2, 4]:
-        return ("E", 8)
-    raise UnrecognizedDiagram(f"arm lengths {arms}")
+_EXCEPTIONAL = {
+    (6, 36, 36): ("E", 6),
+    (7, 63, 63): ("E", 7),
+    (8, 120, 120): ("E", 8),
+    (4, 24, 12): ("F", 4),
+    (2, 6, 3): ("G", 2),
+}
+
+
+def _irreducible_type(n: int, positive: int, short: int) -> tuple[str, int]:
+    """Type of an irreducible root system of rank n with the given counts
+    of positive roots and of short positive roots (all, if one length)."""
+    if (n, positive, short) in _EXCEPTIONAL:
+        return _EXCEPTIONAL[n, positive, short]
+    if short == positive:
+        if positive == n * (n + 1) // 2:
+            return ("A", n)  # also D3
+        if positive == n * (n - 1) and n >= 4:
+            return ("D", n)
+    elif positive == n * n:
+        if n == 2 or short == n:
+            return ("B", n)
+        if short == n * (n - 1):
+            return ("C", n)
+    raise InvariantViolation(
+        f"no irreducible root system has rank {n}, {positive} positive roots"
+        f" and {short} short positive roots"
+    )

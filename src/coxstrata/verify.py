@@ -68,7 +68,9 @@ QUICK_TYPES = [
 ]
 FULL_EXTRA_TYPES = ["F4", "E6", "E7"]
 
-_MOBIUS_FLAT_LIMIT = 6000
+# Lattices with more flats skip the slowest checks: the Moebius recursion
+# (quadratic in the flat count), the Weyl orbits and the cup products.
+_SLOW_CHECK_FLAT_LIMIT = 6000
 
 
 def _check(name: str, ok: bool, detail: str = "") -> Check:
@@ -127,7 +129,7 @@ def lattice_checks(rs: RootSystem, lat, *, with_mobius: bool) -> Iterator[Check]
         "unique-bottom-and-top",
         lat.rank_counts[0] == 1 and lat.rank_counts[rs.rank] == 1,
     )
-    if with_mobius and len(lat) <= _MOBIUS_FLAT_LIMIT:
+    if with_mobius and len(lat) <= _SLOW_CHECK_FLAT_LIMIT:
         mu = mobius_table(lat)
         alt = all(
             (mu[f.id] > 0) == (f.rank % 2 == 0) and mu[f.id] != 0 for f in lat.flats
@@ -303,11 +305,11 @@ def verify_type(type_str: str, level: str = "quick", seed: int = 0) -> list[Chec
     checks += list(poset_dictionary_checks(rs, lat))
     if not heavy:
         checks += list(goodsub_checks(rs, lat))
-        checks += list(weyl_checks(rs, lat)) if len(lat) <= 6000 else []
-        triples = 300 if level == "quick" else 2000
-        samples = 60 if level == "quick" else 300
-        if len(lat) <= 6000:
+        if len(lat) <= _SLOW_CHECK_FLAT_LIMIT:
+            checks += list(weyl_checks(rs, lat))
+            triples = 300 if level == "quick" else 2000
             checks += list(cohomology_checks(rs, lat, rng, triples))
+        samples = 60 if level == "quick" else 300
         checks += list(strata_checks(rs, lat, rng, samples))
     return [(f"{type_str}:{name}", ok, detail) for name, ok, detail in checks]
 

@@ -31,7 +31,7 @@ from coxstrata.flats import (
     whitney_first,
     whitney_second,
 )
-from coxstrata.rootsys import build_root_system
+from coxstrata.rootsys import build_root_system, classify_subsystem
 
 # Stratum counts by codimension, as published for small ranks.
 KNOWN_ROWS = {
@@ -345,3 +345,35 @@ def test_resolve_workers_clamps_and_validates(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: None)
     monkeypatch.setenv("COXSTRATA_THREADS", "8")
     assert _resolve_workers(None) == 1
+
+
+def exponents(family: str, n: int) -> list[int]:
+    """Exponents of the irreducible Weyl group of the given type."""
+    if family == "A":
+        return list(range(1, n + 1))
+    if family in "BC":
+        return list(range(1, 2 * n, 2))
+    if family == "D":
+        return list(range(1, 2 * n - 2, 2)) + [n - 1]
+    return {
+        ("E", 6): [1, 4, 5, 7, 8, 11],
+        ("E", 7): [1, 5, 7, 9, 11, 13, 17],
+        ("E", 8): [1, 7, 11, 13, 17, 19, 23, 29],
+        ("F", 4): [1, 5, 7, 11],
+        ("G", 2): [1, 5],
+    }[family, n]
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "C4", "D5", "G2", "F4", "D6", "E6"])
+def test_mobius_is_product_over_classified_factors(name, lattice_of):
+    # mu(0, X) = prod over the irreducible factors of X of prod(-e_i): a
+    # route to mu through classify_subsystem that shares nothing with the
+    # recursion.
+    rs, lat = lattice_of(name)
+    mu = mobius_table(lat)
+    for f in lat.flats:
+        expected = 1
+        for family, n in classify_subsystem(rs, f.mask).factors:
+            for e in exponents(family, n):
+                expected *= -e
+        assert mu[f.id] == expected, (name, f.id)

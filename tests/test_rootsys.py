@@ -4,10 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coxstrata.errors import InvalidRank, NotSpanClosed
+from coxstrata.errors import InvalidRank, InvariantViolation, NotSpanClosed
+from coxstrata.linalg import solve_in_basis
 from coxstrata.rootsys import (
     CartanType,
+    _irreducible_type,
     additive_closure,
     build_root_system,
     classify_subsystem,
@@ -16,6 +20,7 @@ from coxstrata.rootsys import (
     reflect,
     subsystem_rank,
 )
+from coxstrata.verify import POSITIVE_COUNTS as POSITIVE_COUNT_OF_FAMILY
 
 POSITIVE_COUNTS = {
     "A1": 1, "A2": 3, "A3": 6, "A4": 10, "A5": 15,
@@ -88,6 +93,16 @@ def test_positive_counts_and_invariants():
         for i in rs.positives:
             assert all(c >= 0 for c in rs.simple_coefficients[i])
         assert rs.labels[0] == 1 and all(m >= 1 for m in rs.labels)
+
+
+def test_simple_coefficients_solve_the_simple_root_basis():
+    # The reflection walk carries the coefficients; a linear solve is the
+    # independent route.
+    for name in ["A1", "A5", "B4", "C4", "D5", "G2", "F4", "E6", "E7", "E8"]:
+        rs = build_root_system(name)
+        basis = [rs.roots[i] for i in rs.simples]
+        for v, coeffs in zip(rs.roots, rs.simple_coefficients):
+            assert solve_in_basis(basis, v) == list(coeffs), (name, v)
 
 
 def test_highest_root_dominates_every_root():
@@ -231,6 +246,32 @@ def test_classify_full_systems():
     assert classify_subsystem(d3, d3.full_mask) == CartanType.parse("A3")
 
 
+def test_classify_maximal_rank_subsystems():
+    # Drop one node of the affine diagram: additively closed, not span-closed.
+    # E8's A8 has E6's 36 positive roots, so only the rank tells them apart.
+    expected = {
+        "E8": ["E8", "D8", "A8", "A1xA7", "A1xA2xA5", "A4xA4", "A3xD5", "A2xE6", "A1xE7"],
+        "F4": ["F4", "A1xC3", "A2xA2", "A1xA3", "B4"],
+        "G2": ["G2", "A2", "A1xA1"],
+        "C4": ["C4", "A1xC3", "B2xB2", "A1xC3", "C4"],
+    }
+    for name, types in expected.items():
+        rs = build_root_system(name)
+        nodes = [rs.index[v] for v in rs.affine_roots]
+        got = [
+            str(classify_subsystem(rs, additive_closure(rs, nodes[:i] + nodes[i + 1 :])))
+            for i in range(rs.rank + 1)
+        ]
+        assert got == types, name
+
+
+def test_irreducible_type_rejects_impossible_counts():
+    with pytest.raises(InvariantViolation, match="rank 3, 5 positive roots and 5 short"):
+        _irreducible_type(3, 5, 5)
+    with pytest.raises(InvariantViolation):
+        _irreducible_type(3, 9, 4)  # B3 and C3 have 3 and 6 short positive roots
+
+
 def test_classify_requires_span_closed():
     rs = build_root_system("A2")
     a1 = rs.index[(1, -1, 0)]
@@ -264,3 +305,37 @@ def test_deterministic_indexing():
     b = build_root_system.__wrapped__(CartanType.parse("B3"))
     assert [tuple(v) for v in a.roots] == [tuple(v) for v in b.roots]
     assert a.positives == b.positives
+
+
+# Types up to rank 4, plus G2 and F4, for the property tests.
+PROPERTY_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
+
+
+@st.composite
+def root_subsets(draw):
+    """A type and two random positive-root masks, the second containing the first."""
+    rs = build_root_system(draw(st.sampled_from(PROPERTY_TYPES)))
+    positions = st.integers(0, rs.d - 1)
+    small = sum(1 << p for p in draw(st.sets(positions, max_size=5)))
+    extra = sum(1 << p for p in draw(st.sets(positions, max_size=3)))
+    return rs, small, small | extra
+
+
+@settings(max_examples=150, deadline=None)
+@given(root_subsets())
+def test_closure_idempotent_and_monotone(case):
+    rs, small, big = case
+    cs = closure(rs, small)
+    assert closure(rs, cs) == cs
+    assert cs & small == small
+    assert cs & closure(rs, big) == cs
+
+
+@settings(max_examples=150, deadline=None)
+@given(root_subsets())
+def test_classified_factors_add_up(case):
+    rs, small, _ = case
+    for sub in (closure(rs, small), additive_closure(rs, small)):
+        factors = classify_subsystem(rs, sub).factors
+        assert sum(r for _, r in factors) == subsystem_rank(rs, sub)
+        assert sum(POSITIVE_COUNT_OF_FAMILY[f](r) for f, r in factors) == bin(sub).count("1")

@@ -73,6 +73,32 @@ def test_orbit_members_share_rank_and_type(lattice_of):
                 assert classify_subsystem(rs, f.mask) == base_type
 
 
+def test_parabolic_summary_orbit_types(lattice_of):
+    # The Moebius identity cannot tell B3 from C3; these fixed types can.
+    expected = {
+        "F4": [
+            ["1"],
+            ["A1", "A1"],
+            ["A1xA1", "A2", "A2", "B2"],
+            ["A1xA2", "A1xA2", "B3", "C3"],
+            ["F4"],
+        ],
+        "E6": [
+            ["1"],
+            ["A1"],
+            ["A1xA1", "A2"],
+            ["A1xA1xA1", "A1xA2", "A3"],
+            ["A1xA1xA2", "A2xA2", "A1xA3", "A4", "D4"],
+            ["A1xA2xA2", "A1xA4", "A5", "D5"],
+            ["E6"],
+        ],
+    }
+    for name, per_rank in expected.items():
+        summary = parabolic_summary(*lattice_of(name))
+        got = [[str(rec.cartan_type) for rec in recs] for recs in summary.per_rank]
+        assert got == per_rank, name
+
+
 def test_parabolic_summary_counts(lattice_of):
     rs, lat = lattice_of("A2")
     summary = parabolic_summary(rs, lat)
