@@ -1,18 +1,18 @@
 """Closed-form stratum counts and their generating-series verification.
 
 Three independent routes to the same numbers: lattice enumeration
-(flats module), the closed-form expressions implemented here, and exact
-truncated bivariate series expansion.  Exceptional rows are stored
-constants, cross-validated by enumeration in the test suite.
+(flats module), the closed-form expressions implemented here, and the
+coefficients of each family's exponential generating function, computed
+in integers.  Exceptional rows are stored constants, cross-validated by
+enumeration in the test suite.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
-from .errors import InvalidRank, InvariantViolation, RankOutOfRange
+from .errors import InvalidRank, RankOutOfRange
 from .rootsys import CartanType
 
 EXCEPTIONAL_ROWS: dict[str, tuple[int, ...]] = {
@@ -98,145 +98,49 @@ def betti_row_closed_form(ctype: CartanType | str) -> list[int]:
     return [f_closed_form(ctype, k) for k in range(ctype.rank + 1)]
 
 
-class TruncatedSeries2:
-    """Bivariate power series in (q, t), exact Fractions, fixed truncation.
-
-    coeffs[a][b] is the coefficient of q^a t^b; arithmetic is exact
-    modulo terms of q-degree > max_q or t-degree > max_t.
-    """
-
-    def __init__(self, max_q: int, max_t: int, coeffs=None):
-        self.max_q = max_q
-        self.max_t = max_t
-        if coeffs is None:
-            coeffs = [[Fraction(0)] * (max_t + 1) for _ in range(max_q + 1)]
-        self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, max_q: int, max_t: int) -> "TruncatedSeries2":
-        return cls(max_q, max_t)
-
-    @classmethod
-    def term(cls, max_q: int, max_t: int, c, a: int = 0, b: int = 0) -> "TruncatedSeries2":
-        s = cls(max_q, max_t)
-        if a <= max_q and b <= max_t:
-            s.coeffs[a][b] = Fraction(c)
-        return s
-
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        a, b = key
-        return self.coeffs[a][b]
-
-    def _like(self) -> "TruncatedSeries2":
-        return TruncatedSeries2(self.max_q, self.max_t)
-
-    def __add__(self, other: "TruncatedSeries2") -> "TruncatedSeries2":
-        out = self._like()
-        for a in range(self.max_q + 1):
-            for b in range(self.max_t + 1):
-                out.coeffs[a][b] = self.coeffs[a][b] + other.coeffs[a][b]
-        return out
-
-    def __sub__(self, other: "TruncatedSeries2") -> "TruncatedSeries2":
-        out = self._like()
-        for a in range(self.max_q + 1):
-            for b in range(self.max_t + 1):
-                out.coeffs[a][b] = self.coeffs[a][b] - other.coeffs[a][b]
-        return out
-
-    def __mul__(self, other: "TruncatedSeries2") -> "TruncatedSeries2":
-        out = self._like()
-        for a1 in range(self.max_q + 1):
-            row = self.coeffs[a1]
-            for b1 in range(self.max_t + 1):
-                c = row[b1]
-                if not c:
-                    continue
-                for a2 in range(self.max_q + 1 - a1):
-                    orow = other.coeffs[a2]
-                    target = out.coeffs[a1 + a2]
-                    for b2 in range(self.max_t + 1 - b1):
-                        if orow[b2]:
-                            target[b1 + b2] += c * orow[b2]
-        return out
-
-    def scale(self, c) -> "TruncatedSeries2":
-        out = self._like()
-        f = Fraction(c)
-        for a in range(self.max_q + 1):
-            for b in range(self.max_t + 1):
-                out.coeffs[a][b] = self.coeffs[a][b] * f
-        return out
-
-    def exp(self) -> "TruncatedSeries2":
-        """exp of a series with zero constant term (nilpotent powers)."""
-        if self.coeffs[0][0] != 0:
-            raise InvariantViolation("exp needs zero constant term")
-        one = TruncatedSeries2.term(self.max_q, self.max_t, 1)
-        out = one
-        power = one
-        for n in range(1, self.max_q + self.max_t + 1):
-            power = power * self
-            out = out + power.scale(Fraction(1, factorial(n)))
-        return out
-
-    def shift_down(self, dq: int, dt: int) -> "TruncatedSeries2":
-        """Exact division by the monomial q^dq t^dt; raises unless divisible."""
-        for a in range(min(dq, self.max_q + 1)):
-            if any(self.coeffs[a]):
-                raise InvariantViolation("not divisible by the q power")
-        for a in range(self.max_q + 1):
-            if any(self.coeffs[a][:dt]):
-                raise InvariantViolation("not divisible by the t power")
-        out = TruncatedSeries2(self.max_q - dq, self.max_t - dt)
-        for a in range(out.max_q + 1):
-            for b in range(out.max_t + 1):
-                out.coeffs[a][b] = self.coeffs[a + dq][b + dt]
-        return out
+def _egf_term(a: list[list[int]], b: list[list[int]], n: int) -> list[int]:
+    """[t^n/n!] of A*B: sum over k of C(n,k) * a_k * b_(n-k), polynomials in q."""
+    out = [0] * (max(len(a[k]) + len(b[n - k]) for k in range(n + 1)) - 1)
+    for k in range(n + 1):
+        c = comb(n, k)
+        for i, x in enumerate(a[k]):
+            if x:
+                for j, y in enumerate(b[n - k]):
+                    out[i + j] += c * x * y
+    return out
 
 
-def _exp_t_minus_one(max_q: int, max_t: int, scale_t: int = 1) -> TruncatedSeries2:
-    """e^(scale_t * t) - 1 as a series in t only."""
-    s = TruncatedSeries2(max_q, max_t)
-    for b in range(1, max_t + 1):
-        s.coeffs[0][b] = Fraction(scale_t**b, factorial(b))
-    return s
+def _egf_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Product of two exponential generating functions, as many terms as both have."""
+    return [_egf_term(a, b, n) for n in range(min(len(a), len(b)))]
+
+
+def _egf_exp(g: list[list[int]], n: int) -> list[list[int]]:
+    """Terms f_0..f_n of exp(G - g_0), from F' = G'F: f_(m+1) = sum C(m,k) g_(k+1) f_(m-k)."""
+    f = [[1]]
+    for m in range(n):
+        f.append(_egf_term(g[1:], f, m))
+    return f
 
 
 def series_coefficients(family: str, max_r: int) -> list[list[int]]:
-    """Table fhat[r][k] read off the family's exact generating series.
+    """Table fhat[r][k] read off the family's exponential generating function.
 
-    A family: coefficient of q^k t^r times (r+1)!, from
-    (exp(q(e^t - 1)) - 1) / (q t).  B (= C) family: coefficient of
-    q^k t^r times r!, from exp(t + q(e^(2t) - 1)/2).  D family: the
-    same extraction from (e^t - t) exp(q(e^(2t) - 1)/2).
+    Each series is F = sum f_n(q) t^n/n! with integer polynomials f_n, so
+    every value is an integer.  A family: fhat[r][k] = [q^(k+1)] f_(r+1) of
+    exp(q(e^t - 1)).  B (= C) family: [q^k] f_r of exp(t + q(e^(2t) - 1)/2).
+    D family: [q^k] f_r of (e^t - t) exp(q(e^(2t) - 1)/2).
     """
     if family not in ("A", "B", "D"):
         raise InvalidRank(f"series defined for families A, B, D, not {family!r}")
-    mq, mt = max_r + 1, max_r + 1
+    n = max_r + 1
     if family == "A":
-        inner = _exp_t_minus_one(mq, mt).scale(1) * TruncatedSeries2.term(mq, mt, 1, a=1)
-        numer = inner.exp() - TruncatedSeries2.term(mq, mt, 1)
-        series = numer.shift_down(1, 1)
-        weight = lambda r: factorial(r + 1)
-    elif family == "B":
-        half = _exp_t_minus_one(mq, mt, scale_t=2).scale(Fraction(1, 2))
-        arg = half * TruncatedSeries2.term(mq, mt, 1, a=1) + TruncatedSeries2.term(mq, mt, 1, b=1)
-        series = arg.exp()
-        weight = lambda r: factorial(r)
+        f = _egf_exp([[0]] + [[0, 1]] * n, n)
+        return [f[r + 1][1 : r + 2] for r in range(n)]
+    half = [[0]] + [[0, 2 ** (m - 1)] for m in range(1, n + 1)]  # q(e^(2t) - 1)/2
+    if family == "B":
+        f = _egf_exp([[0], [1, 1]] + half[2:], max_r)  # g_1 gains the t
     else:
-        half = _exp_t_minus_one(mq, mt, scale_t=2).scale(Fraction(1, 2))
-        expq = (half * TruncatedSeries2.term(mq, mt, 1, a=1)).exp()
-        front = _exp_t_minus_one(mq, mt) + TruncatedSeries2.term(mq, mt, 1) - TruncatedSeries2.term(mq, mt, 1, b=1)
-        series = front * expq
-        weight = lambda r: factorial(r)
-    table: list[list[int]] = []
-    for r in range(max_r + 1):
-        row = []
-        for k in range(r + 1):
-            c = series[k, r] * weight(r)
-            if c.denominator != 1:
-                raise InvariantViolation("series coefficient not integral")
-            row.append(int(c))
-        table.append(row)
-    return table
+        e_t_minus_t = [[1], [0]] + [[1]] * (max_r - 1)
+        f = _egf_mul(e_t_minus_t, _egf_exp(half, max_r))
+    return [f[r][: r + 1] for r in range(n)]

@@ -418,7 +418,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ResourceLimit as exc:
-        print(f"error: {exc} (use --allow-huge to opt in)", file=sys.stderr)
+        # Only these commands pass --allow-huge on to the flat budget.
+        hint = " (use --allow-huge to opt in)" if args.command in ("betti", "lattice") else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
     except (CoxstrataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

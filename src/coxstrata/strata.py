@@ -28,11 +28,6 @@ class ExtendedPoint:
 
     values: tuple[Value, ...]
 
-    @classmethod
-    def of(cls, entries: Iterable) -> "ExtendedPoint":
-        vals = tuple(None if v is None else Fraction(v) for v in entries)
-        return cls(vals)
-
     def finite_positions(self) -> list[int]:
         return [p for p, v in enumerate(self.values) if v is not None]
 

@@ -311,7 +311,7 @@ def verify_type(type_str: str, level: str = "quick", seed: int = 0) -> list[Chec
             checks += list(cohomology_checks(rs, lat, rng, triples))
         samples = 60 if level == "quick" else 300
         checks += list(strata_checks(rs, lat, rng, samples))
-    return [(f"{type_str}:{name}", ok, detail) for name, ok, detail in checks]
+    return [(f"{rs.ctype}:{name}", ok, detail) for name, ok, detail in checks]
 
 
 def verify_battery(level: str = "quick", allow_huge: bool = False) -> list[Check]:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from coxstrata.cli import load_lattice_cache, main, save_lattice_cache
+from coxstrata.errors import ResourceLimit
 from coxstrata.flats import build_lattice
 from coxstrata.rootsys import build_root_system
 
@@ -176,6 +177,38 @@ def test_verify_commands(capsys):
         assert main(["verify", name, "--level", "quick"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out and "checks passed" in out
+
+
+def test_verify_labels_checks_with_the_canonical_type(capsys):
+    assert main(["verify", "a2"]) == 0
+    checks = capsys.readouterr().out.splitlines()[:-1]
+    assert checks and all(line.startswith("PASS A2:") for line in checks)
+
+
+def _over_budget(*args, **kwargs):
+    raise ResourceLimit("flat budget 1 exceeded")
+
+
+@pytest.mark.parametrize(
+    "argv, hint",
+    [
+        (["betti", "A3", "--method", "enum"], True),
+        (["lattice", "A3", "--no-cache"], True),
+        (["member", "A3", "--point", "1,2,3,4,5,6"], False),
+        (["good", "A3"], False),
+        (["orbits", "A3"], False),
+        (["cup", "A3"], False),
+        (["verify", "A3", "--allow-huge"], False),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_budget_error_names_allow_huge_only_where_it_lifts_the_budget(argv, hint, monkeypatch, capsys):
+    monkeypatch.setattr("coxstrata.cli.DEFAULT_FLAT_BUDGET", 1)
+    monkeypatch.setattr("coxstrata.verify.build_lattice", _over_budget)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: flat budget 1 exceeded")
+    assert ("--allow-huge" in err) == hint
 
 
 def test_outputs_byte_identical_across_runs_and_threads(tmp_path):
