@@ -1,5 +1,11 @@
 """Command-line surface: tables, JSON/CSV export, verification, caching.
 
+`betti`, `lattice` and `verify` take --allow-huge, which lifts the flat
+budget.  `verify` checks E7 and E8 through the counts-only sweep, so
+`verify E8 --allow-huge` takes about as long as the E8 row (~8 min); in
+`verify --level full --allow-huge`, E8's 12 checks replace the former
+single line E8:betti-row-matches-stored-table.
+
 Exit codes: 0 success, 1 verification mismatch, 2 usage or I/O error.
 Environment: COXSTRATA_CACHE (lattice cache directory, default ./.coxstrata),
 COXSTRATA_THREADS (worker count for lattice sweeps).
@@ -334,7 +340,7 @@ def cmd_verify(args) -> int:
 
     if args.type:
         _parse_type(args.type)
-        checks = verify_type(args.type, args.level)
+        checks = verify_type(args.type, args.level, allow_huge=args.allow_huge)
     else:
         checks = verify_battery(args.level, allow_huge=args.allow_huge)
     failed = 0
@@ -418,8 +424,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ResourceLimit as exc:
-        # Only these commands pass --allow-huge on to the flat budget.
-        hint = " (use --allow-huge to opt in)" if args.command in ("betti", "lattice") else ""
+        # Every command that has --allow-huge passes it on to the flat budget.
+        hint = " (use --allow-huge to opt in)" if "allow_huge" in vars(args) else ""
         print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
     except (CoxstrataError, ValueError, OSError) as exc:

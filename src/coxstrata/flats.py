@@ -233,7 +233,7 @@ def _sweep(
             if max_flats is not None and total > max_flats:
                 raise ResourceLimit(
                     f"flat budget {max_flats} exceeded at rank {rank + 1} "
-                    f"({total}+ flats); raise max_flats to proceed"
+                    f"({total}+ flats)"
                 )
             counts.append(len(new_masks))
             id_base += len(frontier)

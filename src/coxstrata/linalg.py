@@ -4,7 +4,7 @@ One fraction-free core: `IncrementalSpan` keeps a row space in reduced
 integer echelon form.  Elimination is cross-multiplication as in Bareiss
 (1968), but each row is then divided by its gcd instead of by the
 previous pivot, which keeps entries as small as the row space allows.
-Rank, span membership, greedy bases, kernels and solves are thin
+Rank, span membership, kernels and solves are thin
 functions over it.  Matrices are small (rows are root coordinate
 vectors), so clarity wins over asymptotics; no floating point anywhere.
 """
@@ -119,12 +119,6 @@ def bareiss_rank(rows: Iterable[Sequence[int]]) -> int:
     """Rank of an integer matrix (0 for no rows)."""
     rows = list(rows)
     return _span_of(rows, len(rows[0])).rank if rows else 0
-
-
-def greedy_basis(vectors: Sequence[Sequence[int]], dim: int) -> list[int]:
-    """Indices of the first maximal independent subset, in input order."""
-    span = IncrementalSpan(dim)
-    return [i for i, v in enumerate(vectors) if span.add(v)]
 
 
 def solve_in_basis(

@@ -175,24 +175,21 @@ def limit_point(
 
 
 def generate_relations(rs: RootSystem) -> list[tuple[int, ...]]:
-    """Integer relations expressing each positive root over a fixed basis.
+    """Integer relations expressing each positive root over the simple roots.
 
-    The basis is the first maximal independent set of positives in index
-    order; each remaining root contributes one cleared-denominator
-    relation.  Together they span the full (d - r)-dimensional relation
-    lattice.
+    The simple roots are the first r positives (height 1); each later
+    root contributes the relation root - sum(c_j * alpha_j) = 0 with its
+    simple-root coefficients c_j.  Together they span the full
+    (d - r)-dimensional relation lattice.
     """
-    span = IncrementalSpan(rs.ambient)
-    basis_positions = [p for p in range(rs.d) if span.add(rs.roots[rs.positives[p]])]
-    basis = [rs.roots[rs.positives[p]] for p in basis_positions]
+    simple_positions = [rs.pos_of[i] for i in rs.simples]
     relations = []
-    for p in range(rs.d):
-        if p in basis_positions:
-            continue
-        coeffs = solve_in_basis(basis, rs.roots[rs.positives[p]])
-        if coeffs is None:
-            raise InvariantViolation(f"root at position {p} lies outside the basis span")
-        relations.append(_clear_relation(rs, p, basis_positions, coeffs))
+    for p in range(rs.rank, rs.d):
+        rel = [0] * rs.d
+        rel[p] = 1
+        for b, c in zip(simple_positions, rs.simple_coefficients[rs.positives[p]]):
+            rel[b] = -c
+        relations.append(tuple(rel))
     return relations
 
 

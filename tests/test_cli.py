@@ -198,7 +198,7 @@ def _over_budget(*args, **kwargs):
         (["good", "A3"], False),
         (["orbits", "A3"], False),
         (["cup", "A3"], False),
-        (["verify", "A3", "--allow-huge"], False),
+        (["verify", "A3"], True),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
 )
@@ -209,6 +209,73 @@ def test_budget_error_names_allow_huge_only_where_it_lifts_the_budget(argv, hint
     err = capsys.readouterr().err
     assert err.startswith("error: flat budget 1 exceeded")
     assert ("--allow-huge" in err) == hint
+    assert "max_flats" not in err
+
+
+def _no_lattice(*args, **kwargs):
+    raise AssertionError("verify built a lattice")
+
+
+@pytest.fixture
+def closed_form_counts(monkeypatch):
+    """Stand in for the E7/E8 sweep: closed-form counts, same budget rule."""
+    from coxstrata.betti import betti_row_closed_form
+
+    budgets = []
+
+    def fake(rs, *, max_flats):
+        budgets.append(max_flats)
+        counts = list(reversed(betti_row_closed_form(rs.ctype)))
+        if max_flats is not None and sum(counts) > max_flats:
+            raise ResourceLimit(f"flat budget {max_flats} exceeded")
+        return counts
+
+    monkeypatch.setattr("coxstrata.verify.build_lattice", _no_lattice)
+    monkeypatch.setattr("coxstrata.verify.enumerate_rank_counts", fake)
+    return budgets
+
+
+def test_verify_e7_reads_rank_counts_only(closed_form_counts, capsys):
+    assert main(["verify", "E7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == [
+        f"PASS E7:{name}"
+        for name in [
+            "positive-count",
+            "labels-sum-to-highest",
+            "highest-root-dominates",
+            "reflection-permutes-roots",
+            "reflection-involutive",
+            "self-reflection-negates",
+            "closure-props-0",
+            "closure-props-1",
+            "closure-props-2",
+            "betti-row-matches-closed-form",
+            "rank1-flats-are-root-lines",
+            "unique-bottom-and-top",
+        ]
+    ]
+    assert lines[-1] == "12/12 checks passed"
+
+
+def test_verify_e8_budget_follows_allow_huge(closed_form_counts, capsys):
+    assert main(["verify", "E8", "--allow-huge"]) == 0
+    assert closed_form_counts == [None]
+    assert capsys.readouterr().out.endswith("12/12 checks passed\n")
+    assert main(["verify", "E8"]) == 2
+    assert capsys.readouterr().err.endswith("(use --allow-huge to opt in)\n")
+
+
+def test_verify_allow_huge_lifts_the_lattice_budget(monkeypatch):
+    budgets = []
+
+    def recording(rs, *, max_flats):
+        budgets.append(max_flats)
+        return build_lattice(rs, max_flats=max_flats)
+
+    monkeypatch.setattr("coxstrata.verify.build_lattice", recording)
+    assert main(["verify", "A3", "--allow-huge"]) == 0
+    assert budgets == [None]
 
 
 def test_outputs_byte_identical_across_runs_and_threads(tmp_path):

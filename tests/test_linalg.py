@@ -6,7 +6,6 @@ from fractions import Fraction
 from coxstrata.linalg import (
     IncrementalSpan,
     bareiss_rank,
-    greedy_basis,
     integer_kernel,
     solve_in_basis,
 )
@@ -58,11 +57,6 @@ def test_incremental_span_membership():
     assert span.contains([3, 2, 2])
     assert not span.contains([0, 0, 1])
     assert span.rank == 2
-
-
-def test_greedy_basis_order():
-    vecs = [[1, 0], [2, 0], [0, 1], [1, 1]]
-    assert greedy_basis(vecs, 2) == [0, 2]
 
 
 def test_solve_in_basis():
@@ -123,7 +117,8 @@ def test_echelon_core_against_fraction_oracle():
         for vec in (probe, inside):
             expected = naive_rank(rows + [vec]) == rank if rows else not any(vec)
             assert span.contains(vec) == expected
-        basis = [rows[i] for i in greedy_basis(rows, dim)]
+        greedy = IncrementalSpan(dim)
+        basis = [r for r in rows if greedy.add(r)]
         for target in (probe, inside):
             system = IncrementalSpan(len(basis) + 1)
             for j in range(dim):

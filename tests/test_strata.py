@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -9,6 +10,8 @@ import pytest
 from conftest import pos_of_coords
 from coxstrata.errors import NotInVariety, SpanDeficient
 from coxstrata.flats import leq
+from coxstrata.linalg import IncrementalSpan, solve_in_basis
+from coxstrata.rootsys import build_root_system
 from coxstrata.strata import (
     ExtendedPoint,
     Functional,
@@ -237,6 +240,37 @@ def test_generate_relations_examples(lattice_of):
     from coxstrata.linalg import bareiss_rank
 
     assert bareiss_rank(relsb) == 2
+
+
+def _relations_by_solving(rs):
+    """Reference: solve each root over the greedy basis, then clear denominators."""
+    span = IncrementalSpan(rs.ambient)
+    basis_positions = [p for p in range(rs.d) if span.add(rs.roots[rs.positives[p]])]
+    basis = [rs.roots[rs.positives[p]] for p in basis_positions]
+    relations = []
+    for p in range(rs.d):
+        if p in basis_positions:
+            continue
+        coeffs = solve_in_basis(basis, rs.roots[rs.positives[p]])
+        den = math.lcm(*(c.denominator for c in coeffs))
+        rel = [0] * rs.d
+        rel[p] = den
+        for b, c in zip(basis_positions, coeffs):
+            rel[b] -= int(c * den)
+        relations.append(tuple(rel))
+    return relations
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"A{r}" for r in range(1, 9)]
+    + [f"{f}{r}" for f in "BC" for r in range(2, 7)]
+    + [f"D{r}" for r in range(3, 9)]
+    + ["G2", "F4", "E6", "E7", "E8"],
+)
+def test_relations_equal_the_solved_reference(name):
+    rs = build_root_system(name)
+    assert generate_relations(rs) == _relations_by_solving(rs)
 
 
 def test_relations_vanish_on_embedded_space(lattice_of):
