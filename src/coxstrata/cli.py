@@ -1,9 +1,9 @@
 """Command-line surface: tables, JSON/CSV export, verification, caching.
 
 `betti`, `lattice` and `verify` take --allow-huge, which lifts the flat
-budget.  `verify` checks E7 and E8 through the counts-only sweep, so
-`verify E8 --allow-huge` takes about as long as the E8 row (~8 min); in
-`verify --level full --allow-huge`, E8's 12 checks replace the former
+budget; every budget is checked before any enumeration.  `verify E8
+--allow-huge` runs the counts-only sweep and the orbit walk (~8.5 min); in
+`verify --level full --allow-huge`, E8's 15 checks replace the former
 single line E8:betti-row-matches-stored-table.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or I/O error.
@@ -31,6 +31,7 @@ from .flats import (
     DEFAULT_FLAT_BUDGET,
     IntersectionLattice,
     build_lattice,
+    check_flat_budget,
     enumerate_rank_counts,
 )
 from .goodsub import bds_candidates, param_F
@@ -261,8 +262,9 @@ def cmd_good(args) -> int:
 
 def cmd_orbits(args) -> int:
     rs = build_root_system(_parse_type(args.type))
-    lat = _lattice_for(rs, _cache_dir(None), False)
-    summary = parabolic_summary(rs, lat)
+    # The walk holds a whole rank of flat masks, so it keeps the lattice's budget.
+    check_flat_budget(rs, DEFAULT_FLAT_BUDGET)
+    summary = parabolic_summary(rs)
     print(f"type {rs.ctype}: |W| = {summary.weyl_order}, {summary.class_count} classes")
     for rank, recs in enumerate(summary.per_rank):
         for rec in recs:

@@ -13,6 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 import numpy as np
 
+from .betti import betti_row_closed_form
 from .errors import InvalidId, InvalidSetting, RankOutOfRange, ResourceLimit
 from .linalg import integer_kernel
 from .rootsys import RootSystem, build_root_system, closure
@@ -190,22 +191,26 @@ def _worker_expand(masks: list[int]) -> list[list[int]]:
     return [_expand_flat(_WORKER_RS, m) for m in masks]
 
 
+def check_flat_budget(rs: RootSystem, max_flats: int | None) -> None:
+    """Raise ResourceLimit, before any enumeration, if rs has more than max_flats flats."""
+    total = sum(betti_row_closed_form(rs.ctype))
+    if max_flats is not None and total > max_flats:
+        raise ResourceLimit(f"flat budget {max_flats} exceeded: {rs.ctype} has {total} flats")
+
+
 def _sweep(
-    rs: RootSystem,
-    max_flats: int | None,
-    workers: int,
-    keep: bool,
+    rs: RootSystem, workers: int | None, keep: bool
 ) -> tuple[list[list[int]] | None, list[int], list[tuple[int, int]] | None]:
     """Level BFS over all flats; returns (levels, rank counts, covers)."""
+    workers = _resolve_workers(workers)
     levels: list[list[int]] | None = [[0]] if keep else None
     counts = [1]
     covers: list[tuple[int, int]] | None = [] if keep else None
     frontier = [0]
     id_base = 0
-    total = 1
     pool: ProcessPoolExecutor | None = None
     try:
-        for rank in range(rs.rank):
+        for _ in range(rs.rank):
             next_keys: set[int] = set()
             next_covers: list[tuple[int, int]] = []
             if workers > 1 and len(frontier) >= 64 * workers and pool is None:
@@ -229,12 +234,6 @@ def _sweep(
                     if keep:
                         next_covers.append((parent_id, child))
             new_masks = sorted(next_keys)
-            total += len(new_masks)
-            if max_flats is not None and total > max_flats:
-                raise ResourceLimit(
-                    f"flat budget {max_flats} exceeded at rank {rank + 1} "
-                    f"({total}+ flats)"
-                )
             counts.append(len(new_masks))
             id_base += len(frontier)
             if keep:
@@ -260,8 +259,8 @@ def build_lattice(
     Raises ResourceLimit when the flat count would exceed max_flats
     (pass None, or a larger cap, to opt in to huge types such as E8).
     """
-    workers = _resolve_workers(workers)
-    levels, _, covers = _sweep(rs, max_flats, workers, keep=True)
+    check_flat_budget(rs, max_flats)
+    levels, _, covers = _sweep(rs, workers, keep=True)
     assert levels is not None and covers is not None
     covers.sort()
     return IntersectionLattice(rs, levels, covers)
@@ -274,8 +273,8 @@ def enumerate_rank_counts(
     workers: int | None = None,
 ) -> list[int]:
     """Per-rank flat counts only; memory stays per-level (E8-friendly)."""
-    workers = _resolve_workers(workers)
-    _, counts, _ = _sweep(rs, max_flats, workers, keep=False)
+    check_flat_budget(rs, max_flats)
+    _, counts, _ = _sweep(rs, workers, keep=False)
     return counts
 
 

@@ -61,16 +61,15 @@ def bds_candidates(rs: RootSystem) -> list[tuple[tuple[int, int], int]]:
 
 def bds_covers_all(rs: RootSystem, lat: IntersectionLattice) -> bool:
     """Every candidate is good and every good subsystem is W-conjugate to one."""
-    from .weyl import orbit_of_flat
+    from .weyl import _orbit_masks
 
-    candidates = bds_candidates(rs)
-    if not all(is_k_step_good(rs, mask, 1) for _, mask in candidates):
+    candidates = {mask for _, mask in bds_candidates(rs)}
+    if not all(is_k_step_good(rs, mask, 1) for mask in candidates):
         return False
-    candidate_ids = {lat.id_of[mask] for _, mask in candidates}
-    remaining = set(lat.by_rank[rs.rank - 1])
+    remaining = {lat.flats[fid].mask for fid in lat.by_rank[rs.rank - 1]}
     while remaining:
-        orbit = orbit_of_flat(rs, lat, min(remaining))
-        if not orbit & candidate_ids:
+        orbit = _orbit_masks(rs, min(remaining))
+        if orbit.isdisjoint(candidates):
             return False
         remaining -= orbit
     return True

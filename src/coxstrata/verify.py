@@ -70,8 +70,7 @@ QUICK_TYPES = [
 ]
 FULL_EXTRA_TYPES = ["F4", "E6", "E7"]
 
-# Lattices with more flats skip the slowest checks: the Moebius recursion
-# (quadratic in the flat count), the Weyl orbits and the cup products.
+# Lattices with more flats skip the Moebius recursion (quadratic) and cup products.
 _SLOW_CHECK_FLAT_LIMIT = 6000
 
 
@@ -189,13 +188,10 @@ def goodsub_checks(rs: RootSystem, lat) -> Iterator[Check]:
         yield _check("parametrization-bijections", good)
 
 
-def weyl_checks(rs: RootSystem, lat) -> Iterator[Check]:
-    summary = parabolic_summary(rs, lat)
-    per_rank_ok = all(
-        sum(rec.size for rec in recs) == lat.rank_counts[rank]
-        for rank, recs in enumerate(summary.per_rank)
-    )
-    yield _check("orbit-sizes-sum-to-rank-counts", per_rank_ok)
+def weyl_checks(rs: RootSystem, counts: list[int]) -> Iterator[Check]:
+    summary = parabolic_summary(rs)
+    sizes = [sum(rec.size for rec in recs) for recs in summary.per_rank]
+    yield _check("orbit-sizes-sum-to-rank-counts", sizes == counts, f"{sizes}")
     divides = all(
         rec.size * rec.stabilizer_order == summary.weyl_order
         for recs in summary.per_rank
@@ -299,22 +295,24 @@ def verify_type(
 ) -> list[Check]:
     """Run every applicable invariant suite for one type.
 
-    E7 and E8 get only the checks on their rank counts, which the
-    counts-only sweep yields without building a lattice.
+    E7 and E8 build no lattice: they get the checks on the counts-only
+    sweep's rank counts and the orbit checks.
     """
     rng = random.Random(seed)
     rs = build_root_system(type_str)
     budget = None if allow_huge else DEFAULT_FLAT_BUDGET
     checks = list(rootsys_checks(rs, rng))
     if str(rs.ctype) in ("E7", "E8"):
-        checks += list(lattice_checks(rs, enumerate_rank_counts(rs, max_flats=budget)))
+        counts = enumerate_rank_counts(rs, max_flats=budget)
+        checks += list(lattice_checks(rs, counts))
+        checks += list(weyl_checks(rs, counts))
     else:
         lat = build_lattice(rs, max_flats=budget)
         checks += list(lattice_checks(rs, lat.rank_counts, lat))
         checks += list(poset_dictionary_checks(rs, lat))
         checks += list(goodsub_checks(rs, lat))
+        checks += list(weyl_checks(rs, lat.rank_counts))
         if len(lat) <= _SLOW_CHECK_FLAT_LIMIT:
-            checks += list(weyl_checks(rs, lat))
             triples = 300 if level == "quick" else 2000
             checks += list(cohomology_checks(rs, lat, rng, triples))
         samples = 60 if level == "quick" else 300

@@ -7,13 +7,15 @@ orbit-stabilizer relation for stabilizer orders.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import combinations
 from math import factorial
 from typing import Sequence
 
 from .errors import InvariantViolation, MalformedWord
 from .flats import IntersectionLattice
-from .rootsys import CartanType, RootSystem, classify_subsystem
+from .rootsys import CartanType, RootSystem, classify_subsystem, closure
 
 _EXCEPTIONAL_ORDERS = {
     ("E", 6): 51840,
@@ -41,28 +43,26 @@ def weyl_order(ctype: CartanType | str) -> int:
     return order
 
 
-def _simple_perms(rs: RootSystem) -> list[list[int]]:
-    return [rs.positive_perm(s) for s in rs.simples]
+def _orbit_masks(rs: RootSystem, mask: int) -> set[int]:
+    """Masks reachable from mask under the simple reflections (BFS)."""
+    perms = [rs.positive_perm(s) for s in rs.simples]
+    seen = {mask}
+    frontier = [mask]
+    while frontier:
+        new = []
+        for m in frontier:
+            for perm in perms:
+                image = rs.apply_perm_to_mask(perm, m)
+                if image not in seen:
+                    seen.add(image)
+                    new.append(image)
+        frontier = new
+    return seen
 
 
 def orbit_of_flat(rs: RootSystem, lat: IntersectionLattice, fid: int) -> set[int]:
     """Flat ids reachable from fid under the simple reflections."""
-    perms = _simple_perms(rs)
-    start = lat.flat(fid)
-    seen_masks = {start.mask}
-    orbit = {fid}
-    frontier = [start.mask]
-    while frontier:
-        new = []
-        for mask in frontier:
-            for perm in perms:
-                image = rs.apply_perm_to_mask(perm, mask)
-                if image not in seen_masks:
-                    seen_masks.add(image)
-                    orbit.add(lat.id_of[image])
-                    new.append(image)
-        frontier = new
-    return orbit
+    return set(map(lat.id_of.__getitem__, _orbit_masks(rs, lat.flat(fid).mask)))
 
 
 @dataclass(frozen=True)
@@ -85,31 +85,33 @@ class OrbitSummary:
         return sum(len(rows) for rows in self.per_rank)
 
 
-def parabolic_summary(rs: RootSystem, lat: IntersectionLattice) -> OrbitSummary:
-    """Partition all flats into orbits; one record per orbit.
+def parabolic_summary(rs: RootSystem) -> OrbitSummary:
+    """One record per W-orbit of flats, from the orbits of the 2^r parabolic flats.
 
-    Orbit representatives are the least unvisited flat ids, so the
-    summary is deterministic.  Stabilizer orders come from the
-    orbit-stabilizer relation with the hardcoded group order.
+    Each rank-k flat is W-conjugate to closure(J) for k simple roots J
+    (Orlik-Solomon).  A representative is its orbit's least mask, numbered
+    as in the lattice: rank offset plus place in the rank's sorted flats.
     """
     w = weyl_order(rs.ctype)
     per_rank = []
-    for rank_ids in lat.by_rank:
-        remaining = set(rank_ids)
+    offset = 0
+    for k in range(rs.rank + 1):
+        level: set[int] = set()
+        orbits = []
+        for start in {closure(rs, J) for J in combinations(rs.simples, k)}:
+            if start not in level:
+                orbit = _orbit_masks(rs, start)
+                level |= orbit
+                orbits.append((min(orbit), len(orbit)))
+        ordered = sorted(level)
         records = []
-        while remaining:
-            rep = min(remaining)
-            orbit = orbit_of_flat(rs, lat, rep)
-            if not orbit <= remaining:
-                raise InvariantViolation("orbit escaped its rank level")
-            size = len(orbit)
+        for rep, size in sorted(orbits):
             if w % size:
                 raise InvariantViolation("orbit size must divide the group order")
-            records.append(
-                OrbitRecord(rep, size, w // size, classify_subsystem(rs, lat.flat(rep).mask))
-            )
-            remaining -= orbit
+            fid = offset + bisect_left(ordered, rep)
+            records.append(OrbitRecord(fid, size, w // size, classify_subsystem(rs, rep)))
         per_rank.append(tuple(records))
+        offset += len(ordered)
     return OrbitSummary(tuple(per_rank), w)
 
 

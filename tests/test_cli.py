@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from coxstrata.betti import EXCEPTIONAL_ROWS
 from coxstrata.cli import load_lattice_cache, main, save_lattice_cache
 from coxstrata.errors import ResourceLimit
 from coxstrata.flats import build_lattice
@@ -253,15 +254,28 @@ def test_verify_e7_reads_rank_counts_only(closed_form_counts, capsys):
             "betti-row-matches-closed-form",
             "rank1-flats-are-root-lines",
             "unique-bottom-and-top",
+            "orbit-sizes-sum-to-rank-counts",
+            "orbit-stabilizer-relation",
+            "class-count-bound",
         ]
     ]
-    assert lines[-1] == "12/12 checks passed"
+    assert lines[-1] == "15/15 checks passed"
 
 
-def test_verify_e8_budget_follows_allow_huge(closed_form_counts, capsys):
+def test_verify_e8_budget_follows_allow_huge(closed_form_counts, monkeypatch, capsys):
+    # Stand in for the E8 orbit walk (about a minute): record the counts it gets.
+    seen = []
+
+    def weyl_checks(rs, counts):
+        seen.append(counts)
+        names = ["orbit-sizes-sum-to-rank-counts", "orbit-stabilizer-relation", "class-count-bound"]
+        return [(name, True, "") for name in names]
+
+    monkeypatch.setattr("coxstrata.verify.weyl_checks", weyl_checks)
     assert main(["verify", "E8", "--allow-huge"]) == 0
     assert closed_form_counts == [None]
-    assert capsys.readouterr().out.endswith("12/12 checks passed\n")
+    assert seen == [list(reversed(EXCEPTIONAL_ROWS["E8"]))]
+    assert capsys.readouterr().out.endswith("15/15 checks passed\n")
     assert main(["verify", "E8"]) == 2
     assert capsys.readouterr().err.endswith("(use --allow-huge to opt in)\n")
 
@@ -309,7 +323,6 @@ def test_usage_errors_exit_2():
 LATTICE_COMMANDS = [
     ["good", "B3"],
     ["good", "A3", "--classical-param"],
-    ["orbits", "B3"],
     ["cup", "A3"],
     ["member", "A3", "--point", "-1,2,1,3,2,1"],
 ]
@@ -333,6 +346,69 @@ def test_lattice_commands_answer_the_same_cold_and_warm(argv, monkeypatch, capsy
     assert capsys.readouterr().out == cold
 
 
+ORBITS_OUTPUT = {
+    "B3": """\
+type B3: |W| = 48, 7 classes
+  rank 0: rep flat 0  orbit 1  stabilizer 48  type 1
+  rank 1: rep flat 1  orbit 3  stabilizer 16  type A1
+  rank 1: rep flat 2  orbit 6  stabilizer 8  type A1
+  rank 2: rep flat 10  orbit 6  stabilizer 8  type A1xA1
+  rank 2: rep flat 11  orbit 4  stabilizer 12  type A2
+  rank 2: rep flat 13  orbit 3  stabilizer 16  type B2
+  rank 3: rep flat 23  orbit 1  stabilizer 48  type B3
+""",
+    "F4": """\
+type F4: |W| = 1152, 12 classes
+  rank 0: rep flat 0  orbit 1  stabilizer 1152  type 1
+  rank 1: rep flat 1  orbit 12  stabilizer 96  type A1
+  rank 1: rep flat 2  orbit 12  stabilizer 96  type A1
+  rank 2: rep flat 25  orbit 72  stabilizer 16  type A1xA1
+  rank 2: rep flat 28  orbit 16  stabilizer 72  type A2
+  rank 2: rep flat 32  orbit 16  stabilizer 72  type A2
+  rank 2: rep flat 33  orbit 18  stabilizer 64  type B2
+  rank 3: rep flat 147  orbit 48  stabilizer 24  type A1xA2
+  rank 3: rep flat 148  orbit 48  stabilizer 24  type A1xA2
+  rank 3: rep flat 154  orbit 12  stabilizer 96  type B3
+  rank 3: rep flat 161  orbit 12  stabilizer 96  type C3
+  rank 4: rep flat 267  orbit 1  stabilizer 1152  type F4
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBITS_OUTPUT))
+def test_orbits_builds_loads_and_saves_no_lattice(name, monkeypatch, capsys):
+    monkeypatch.setattr("coxstrata.cli.build_lattice", _refuse_to_build)
+    monkeypatch.setattr("coxstrata.cli.load_lattice_cache", _refuse_to_build)
+    monkeypatch.setattr("coxstrata.cli.save_lattice_cache", _refuse_to_build)
+    assert main(["orbits", name]) == 0
+    assert capsys.readouterr().out == ORBITS_OUTPUT[name]
+    assert not Path(os.environ["COXSTRATA_CACHE"]).exists()
+
+
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("the flat sweep started")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["betti", "E8", "--method", "enum"],
+        ["verify", "E8"],
+        ["member", "E8", "--point", ",".join(["inf"] * 120)],
+        ["good", "E8"],
+        ["orbits", "E8"],
+        ["cup", "E8"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_over_budget_e8_is_refused_before_any_enumeration(argv, monkeypatch, capsys):
+    monkeypatch.setattr("coxstrata.flats._sweep", _no_sweep)
+    monkeypatch.setattr("coxstrata.weyl._orbit_masks", _no_sweep)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: flat budget 120000 exceeded: E8 has 5506504 flats")
+
+
 def test_good_bds_builds_no_lattice(monkeypatch, capsys):
     monkeypatch.setattr("coxstrata.cli.build_lattice", _refuse_to_build)
     assert main(["good", "B3", "--bds"]) == 0
@@ -354,7 +430,7 @@ def _save_version_1_cache(lat, path):
 
 
 def test_corrupt_or_old_cache_is_rebuilt(tmp_path, capsys):
-    argv = ["orbits", "B3"]
+    argv = ["good", "B3"]
     rs, path = build_root_system("B3"), _cache_file(argv)
     assert main(argv) == 0
     expected = capsys.readouterr().out

@@ -24,6 +24,7 @@ from coxstrata.flats import (
     brute_force_flats,
     build_lattice,
     char_poly,
+    check_flat_budget,
     enumerate_rank_counts,
     join,
     leq,
@@ -230,6 +231,20 @@ def test_budget_admits_requested_type():
     rs = build_root_system("B4")
     lat = build_lattice(rs, max_flats=200)
     assert len(lat) == 116
+
+
+def test_budget_is_checked_against_the_exact_flat_count(monkeypatch):
+    rs = build_root_system("B4")
+    check_flat_budget(rs, 116)
+    check_flat_budget(rs, None)
+    monkeypatch.setattr("coxstrata.flats._sweep", _no_sweep)
+    for route in (build_lattice, enumerate_rank_counts):
+        with pytest.raises(ResourceLimit, match=r"^flat budget 115 exceeded: B4 has 116 flats$"):
+            route(rs, max_flats=115)
+
+
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("the flat sweep started")
 
 
 def test_covers_connect_adjacent_ranks(lattice_of):
