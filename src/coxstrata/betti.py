@@ -9,7 +9,6 @@ enumeration in the test suite.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 from .errors import InvalidRank, RankOutOfRange
@@ -24,16 +23,20 @@ EXCEPTIONAL_ROWS: dict[str, tuple[int, ...]] = {
 }
 
 
-@lru_cache(maxsize=None)
+# Rows S(n, 0..n) of the triangle computed so far, grown by a loop so that
+# no recursion depth grows with n.
+_STIRLING_ROWS: list[list[int]] = [[1]]
+
+
 def stirling(n: int, k: int) -> int:
     """Set partitions of an n-set into k nonempty blocks; S(0,0)=1."""
     if n < 0 or k < 0:
         raise ValueError("stirling arguments must be nonnegative")
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0 or k > n:
-        return 0
-    return k * stirling(n - 1, k) + stirling(n - 1, k - 1)
+    rows = _STIRLING_ROWS
+    while len(rows) <= n:
+        prev = rows[-1]  # S(n, k) = k * S(n - 1, k) + S(n - 1, k - 1)
+        rows.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, len(prev))] + [1])
+    return rows[n][k] if k <= n else 0
 
 
 def bell(n: int) -> int:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import betti
 from .cohomology import GradedClass, cup
-from .errors import CoxstrataError, InvalidRank, ResourceLimit
+from .errors import CoxstrataError, InvalidRank, NotClassical, ResourceLimit
 from .flats import (
     DEFAULT_FLAT_BUDGET,
     IntersectionLattice,
@@ -171,23 +171,21 @@ def _betti_row_enum(rs: RootSystem, allow_huge: bool) -> list[int]:
 
 def cmd_betti(args) -> int:
     ctype = _parse_type(args.type)
-    rs = build_root_system(ctype)
-    family = ctype.factors[0][0]
+    family, rank = ctype.factors[0]
     methods = {}
     wanted = ["formula", "enum", "series"] if args.compare else [args.method]
     for method in wanted:
         if method == "formula":
             methods["formula"] = betti.betti_row_closed_form(ctype)
         elif method == "enum":
-            methods["enum"] = _betti_row_enum(rs, args.allow_huge)
+            methods["enum"] = _betti_row_enum(build_root_system(ctype), args.allow_huge)
         elif method == "series":
             if family not in ("A", "B", "C", "D"):
                 if args.compare:
                     continue
-                print("series method applies to classical families only", file=sys.stderr)
-                return 2
+                raise NotClassical("series method applies to classical families only")
             fam = "B" if family == "C" else family
-            methods["series"] = betti.series_coefficients(fam, rs.rank)[rs.rank]
+            methods["series"] = betti.series_coefficients(fam, rank)[rank]
     if args.compare:
         rows = list(methods.values())
         agree = all(row == rows[0] for row in rows)

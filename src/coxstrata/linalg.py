@@ -4,14 +4,14 @@ One fraction-free core: `IncrementalSpan` keeps a row space in reduced
 integer echelon form.  Elimination is cross-multiplication as in Bareiss
 (1968), but each row is then divided by its gcd instead of by the
 previous pivot, which keeps entries as small as the row space allows.
-Rank, span membership, kernels and solves are thin
-functions over it.  Matrices are small (rows are root coordinate
-vectors), so clarity wins over asymptotics; no floating point anywhere.
+Rank and kernels are thin functions over it, and a solve is a kernel
+vector: the one integer relation between a target and a basis.  Matrices
+are small (rows are root coordinate vectors), so clarity wins over
+asymptotics; no floating point anywhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -48,9 +48,6 @@ class IncrementalSpan:
                 a = row[p]
                 v = [a * x - f * y for x, y in zip(v, row)]
         return v
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        return not any(self._reduce(vec))
 
     def add(self, vec: Sequence[int]) -> bool:
         """Add vec to the span; return True iff it enlarged the span."""
@@ -94,19 +91,6 @@ class IncrementalSpan:
             kernel.append(tuple(_normalised(x)))
         return kernel
 
-    def solve(self) -> tuple[list[int], int] | None:
-        """Unique solution of the rows read as an augmented system [A | b].
-
-        The last column is b.  Returns integer numerators and one positive
-        denominator (x_i = nums[i] / den), or None when the system is
-        inconsistent or its solution is not unique.
-        """
-        n = self.dim - 1
-        if self.pivots != list(range(n)):
-            return None
-        den = lcm(*[row[p] for row, p in zip(self.rows, self.pivots)])
-        return [row[n] * (den // row[p]) for row, p in zip(self.rows, self.pivots)], den
-
 
 def _span_of(rows: Iterable[Sequence[int]], dim: int) -> IncrementalSpan:
     span = IncrementalSpan(dim)
@@ -119,25 +103,6 @@ def bareiss_rank(rows: Iterable[Sequence[int]]) -> int:
     """Rank of an integer matrix (0 for no rows)."""
     rows = list(rows)
     return _span_of(rows, len(rows[0])).rank if rows else 0
-
-
-def solve_in_basis(
-    basis: Sequence[Sequence[int]], target: Sequence[int]
-) -> list[Fraction] | None:
-    """Coefficients c with sum(c_i * basis_i) == target, or None.
-
-    The basis rows must be linearly independent.
-    """
-    if not basis:
-        return [] if not any(target) else None
-    # Solve B^T c = target: one augmented row per coordinate.
-    augmented = ([b[j] for b in basis] + [target[j]] for j in range(len(target)))
-    span = _span_of(augmented, len(basis) + 1)
-    solved = span.solve()
-    if solved is None:
-        return None
-    nums, den = solved
-    return [Fraction(n, den) for n in nums]
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], dim: int) -> list[IntVec]:

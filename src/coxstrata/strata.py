@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InvalidId, InvariantViolation, NotInVariety, SpanDeficient
 from .flats import IntersectionLattice
-from .linalg import IncrementalSpan, solve_in_basis
+from .linalg import IncrementalSpan, IntVec, bareiss_rank, integer_kernel
 from .rootsys import RootSystem, closure
 
 Value = Fraction | None  # None is the infinity coordinate
@@ -32,6 +31,22 @@ class ExtendedPoint:
         return [p for p, v in enumerate(self.values) if v is not None]
 
 
+def _relation(target: Sequence[int], basis: Sequence[Sequence[int]]) -> IntVec | None:
+    """The primitive x, x[0] > 0, with x[0] * target + sum(x[i] * basis[i - 1]) == 0.
+
+    This is the one kernel vector of the integer matrix [target | basis].
+    None unless that kernel is one-dimensional with x[0] != 0: the target
+    lies outside the span, or the basis is dependent.
+    """
+    kernel = integer_kernel(list(zip(target, *basis)), len(basis) + 1)
+    return kernel[0] if len(kernel) == 1 and kernel[0][0] else None
+
+
+def _solved_value(relation: IntVec, values: Sequence[Fraction]) -> Fraction:
+    """The target's value, -sum(x[i] * values[i - 1]) / x[0], over a relation x."""
+    return -sum((c * v for c, v in zip(relation[1:], values)), Fraction(0)) / relation[0]
+
+
 @dataclass(frozen=True)
 class Functional:
     """A linear functional on the span of a flat, by values on a root basis."""
@@ -43,10 +58,8 @@ class Functional:
         """Value at the positive root in the given position; None off-span."""
         basis = [rs.roots[rs.positives[p]] for p in self.basis_positions]
         target = rs.roots[rs.positives[position]]
-        coeffs = solve_in_basis(basis, target)
-        if coeffs is None:
-            return None
-        return sum((c * v for c, v in zip(coeffs, self.values)), Fraction(0))
+        relation = _relation(target, basis)
+        return None if relation is None else _solved_value(relation, self.values)
 
 
 @dataclass(frozen=True)
@@ -98,17 +111,15 @@ def membership(
     )
     basis = [rs.roots[rs.positives[p]] for p in basis_positions]
     for p in finite:
-        coeffs = solve_in_basis(basis, rs.roots[rs.positives[p]])
-        if coeffs is None:
+        x = _relation(rs.roots[rs.positives[p]], basis)
+        if x is None:
             raise InvariantViolation(f"root at position {p} lies outside the basis span")
-        expected = sum(
-            (c * point.values[b] for c, b in zip(coeffs, basis_positions)), Fraction(0)
-        )
-        if expected != point.values[p]:
-            return Rejection(
-                "finite values violate a root relation",
-                relation=_clear_relation(rs, p, basis_positions, coeffs),
-            )
+        positions = [p, *basis_positions]
+        if sum(c * point.values[q] for c, q in zip(x, positions)):
+            relation = [0] * rs.d
+            for c, q in zip(x, positions):
+                relation[q] += c
+            return Rejection("finite values violate a root relation", relation=tuple(relation))
     return StratumResult(lat.id_of[fin], witness)
 
 
@@ -157,20 +168,17 @@ def limit_point(
     basis = [rs.roots[rs.positives[p]] for p in witness.basis_positions]
     ext_basis = basis + [rs.roots[rs.positives[lam0_pos]]]
     ext_values = list(witness.values) + [Fraction(t)]
-    span = IncrementalSpan(rs.ambient)
-    for v in ext_basis:
-        span.add(v)
     ambient_positions = (
         list(range(rs.d)) if within is None else rs.positions(within)
     )
-    if within is None and span.rank != rs.rank:
+    if within is None and bareiss_rank(ext_basis) != rs.rank:
         raise SpanDeficient("auxiliary root does not complete the span")
     values: list[Value] = [None] * rs.d
     for p in ambient_positions:
-        coeffs = solve_in_basis(ext_basis, rs.roots[rs.positives[p]])
-        if coeffs is None:
+        relation = _relation(rs.roots[rs.positives[p]], ext_basis)
+        if relation is None:
             raise SpanDeficient("a coordinate in the ambient flat is not determined")
-        values[p] = sum((c * v for c, v in zip(coeffs, ext_values)), Fraction(0))
+        values[p] = _solved_value(relation, ext_values)
     return ExtendedPoint(tuple(values))
 
 
@@ -191,17 +199,6 @@ def generate_relations(rs: RootSystem) -> list[tuple[int, ...]]:
             rel[b] = -c
         relations.append(tuple(rel))
     return relations
-
-
-def _clear_relation(
-    rs: RootSystem, position: int, basis_positions: Sequence[int], coeffs: Sequence[Fraction]
-) -> tuple[int, ...]:
-    den = lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-    rel = [0] * rs.d
-    rel[position] = den
-    for b, c in zip(basis_positions, coeffs):
-        rel[b] -= int(c * den)
-    return tuple(rel)
 
 
 def relation_support(relation: Sequence[int]) -> list[int]:

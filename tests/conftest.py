@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from coxstrata import build_lattice, build_root_system
+
+# Types up to rank 4, plus G2 and F4, for the property tests.
+PROPERTY_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
 
 
 @pytest.fixture(autouse=True)
@@ -29,3 +34,46 @@ def pos_of_coords(rs, coords):
     """Positive position of the root with the given coordinates."""
     idx = rs.index[tuple(coords)]
     return rs.pos_of.get(idx, rs.pos_of.get(rs.neg[idx]))
+
+
+def _gauss_jordan(rows, cols):
+    """Reduced row echelon form over Fraction, and its pivot columns."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(cols):
+        piv = next((i for i in range(len(pivots), len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        r = len(pivots)
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def fraction_rank(rows):
+    """Reference rank of a matrix, by Gauss-Jordan over Fraction."""
+    return len(_gauss_jordan(rows, len(rows[0]) if rows else 0)[1])
+
+
+def fraction_solve(basis, target, unique=True):
+    """Reference: c with sum(c_i * basis_i) == target, or None.
+
+    Gauss-Jordan over Fraction on the augmented system B^T c = target,
+    independent of the integer echelon core.  None when the system is
+    inconsistent or, with `unique` set, when its solution is not unique;
+    otherwise every free unknown is zero.
+    """
+    k = len(basis)
+    augmented = [[b[j] for b in basis] + [t] for j, t in enumerate(target)]
+    m, pivots = _gauss_jordan(augmented, k + 1)
+    if k in pivots or (unique and len(pivots) < k):
+        return None
+    c = [Fraction(0)] * k
+    for row, p in zip(m, pivots):
+        c[p] = row[k]
+    return c

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from coxstrata.betti import EXCEPTIONAL_ROWS
+from coxstrata import cli
+from coxstrata.betti import EXCEPTIONAL_ROWS, betti_row_closed_form
 from coxstrata.cli import load_lattice_cache, main, save_lattice_cache
 from coxstrata.errors import ResourceLimit
 from coxstrata.flats import build_lattice
@@ -64,6 +65,40 @@ def test_betti_methods(capsys):
     assert capsys.readouterr().out.strip() == "1 13 9 1"
     # series is classical-only
     assert main(["betti", "G2", "--method", "series"]) == 2
+
+
+def test_betti_series_refuses_exceptional_types_as_an_error(capsys):
+    assert main(["betti", "G2", "--method", "series"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: series method applies to classical families only\n"
+    # --compare leaves the series out for G, F and E instead
+    assert main(["betti", "G2", "--compare"]) == 0
+    assert capsys.readouterr().out == "enum     1 6 1\nformula  1 6 1\n"
+
+
+def test_betti_builds_no_root_system_without_enum(monkeypatch, capsys):
+    def refuse(ctype):
+        raise RuntimeError(f"betti built the {ctype} root system")
+
+    monkeypatch.setattr(cli, "build_root_system", refuse)
+    for argv, row in [
+        (["betti", "A40"], betti_row_closed_form("A40")),
+        (["betti", "B40", "--method", "series"], betti_row_closed_form("B40")),
+        (["betti", "E8"], EXCEPTIONAL_ROWS["E8"]),
+    ]:
+        assert main(argv) == 0
+        assert capsys.readouterr().out.split() == [str(x) for x in row]
+
+
+def test_betti_of_a_large_classical_type_needs_no_deep_recursion():
+    # A subprocess, so the Stirling rows it memoises leave with it.
+    result = run_cli("betti", "A600")
+    assert result.returncode == 0, result.stderr
+    row = result.stdout.split()
+    assert len(row) == 601
+    # S(601, 1), S(601, 2) and S(601, 601)
+    assert row[:2] == ["1", str(2**600 - 1)] and row[-1] == "1"
 
 
 def test_member_fixtures(capsys):

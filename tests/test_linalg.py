@@ -1,32 +1,12 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
-from coxstrata.linalg import (
-    IncrementalSpan,
-    bareiss_rank,
-    integer_kernel,
-    solve_in_basis,
-)
-
-
-def naive_rank(rows):
-    """Independent oracle: Gaussian elimination over Fraction."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for i in range(len(m)):
-            if i != rank and m[i][c]:
-                f = m[i][c] / m[rank][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+from conftest import fraction_rank, fraction_solve
+from coxstrata.linalg import IncrementalSpan, bareiss_rank, integer_kernel
+from coxstrata.strata import _relation
 
 
 def test_bareiss_rank_examples():
@@ -46,7 +26,7 @@ def test_bareiss_rank_random_against_oracle():
         ]
         width = max(len(r) for r in rows)
         rows = [r + [0] * (width - len(r)) for r in rows]
-        assert bareiss_rank(rows) == naive_rank(rows)
+        assert bareiss_rank(rows) == fraction_rank(rows)
 
 
 def test_incremental_span_membership():
@@ -54,18 +34,7 @@ def test_incremental_span_membership():
     assert span.add([1, 0, 0])
     assert not span.add([2, 0, 0])
     assert span.add([0, 1, 1])
-    assert span.contains([3, 2, 2])
-    assert not span.contains([0, 0, 1])
     assert span.rank == 2
-
-
-def test_solve_in_basis():
-    basis = [[1, 0, 1], [0, 2, 0]]
-    coeffs = solve_in_basis(basis, [3, 4, 3])
-    assert coeffs == [Fraction(3), Fraction(2)]
-    assert solve_in_basis(basis, [0, 0, 1]) is None
-    assert solve_in_basis([], [0, 0]) == []
-    assert solve_in_basis([], [1, 0]) is None
 
 
 def test_integer_kernel_annihilates_and_spans():
@@ -74,11 +43,11 @@ def test_integer_kernel_annihilates_and_spans():
         dim = rng.randrange(1, 6)
         rows = [[rng.randrange(-2, 3) for _ in range(dim)] for _ in range(rng.randrange(0, 4))]
         kernel = integer_kernel(rows, dim)
-        assert len(kernel) == dim - naive_rank(rows) if rows else dim
+        assert len(kernel) == dim - fraction_rank(rows) if rows else dim
         for k in kernel:
             for r in rows:
                 assert sum(a * b for a, b in zip(k, r)) == 0
-        assert naive_rank(kernel) == len(kernel)
+        assert fraction_rank(kernel) == len(kernel)
 
 
 def _root_rows(type_str):
@@ -105,46 +74,30 @@ def test_echelon_core_against_fraction_oracle():
         span = IncrementalSpan(dim)
         for r in rows:
             span.add(r)
-        rank = naive_rank(rows) if rows else 0
+        rank = fraction_rank(rows) if rows else 0
         assert span.rank == rank == (bareiss_rank(rows) if rows else 0)
         kernel = integer_kernel(rows, dim)
         assert len(kernel) == dim - rank
-        assert naive_rank(kernel) == len(kernel) if kernel else True
+        assert fraction_rank(kernel) == len(kernel) if kernel else True
         for k in kernel:
             assert all(sum(a * b for a, b in zip(k, r)) == 0 for r in rows)
         probe = [rng.randrange(-4, 5) for _ in range(dim)]
         inside = [sum(rng.randrange(-3, 4) * r[j] for r in rows) for j in range(dim)]
-        for vec in (probe, inside):
-            expected = naive_rank(rows + [vec]) == rank if rows else not any(vec)
-            assert span.contains(vec) == expected
         greedy = IncrementalSpan(dim)
-        basis = [r for r in rows if greedy.add(r)]
-        for target in (probe, inside):
-            system = IncrementalSpan(len(basis) + 1)
-            for j in range(dim):
-                system.add([b[j] for b in basis] + [target[j]])
-            solved = system.solve() if basis else None
-            if basis and span.contains(target):
-                nums, den = solved
-                assert den > 0
-                assert [sum(n * b[j] for n, b in zip(nums, basis)) for j in range(dim)] == [
-                    den * t for t in target
-                ]
-                assert solve_in_basis(basis, target) == [Fraction(n, den) for n in nums]
-            else:
-                assert solved is None
-                assert (solve_in_basis(basis, target) is None) == any(target)
-
-
-def test_solve_returns_numerators_over_one_denominator():
-    span = IncrementalSpan(3)
-    # 2x + y = 1, x - y = 0: x = y = 1/3
-    span.add([2, 1, 1])
-    span.add([1, -1, 0])
-    nums, den = span.solve()
-    assert den > 0 and [Fraction(n, den) for n in nums] == [Fraction(1, 3)] * 2
-    inconsistent = IncrementalSpan(2)
-    inconsistent.add([1, 1])
-    inconsistent.add([2, 3])
-    assert inconsistent.solve() is None
-    assert IncrementalSpan(3).solve() is None
+        independent = [r for r in rows if greedy.add(r)]
+        # rows itself may be dependent, which leaves no unique relation
+        for basis in (independent, rows):
+            dependent = fraction_rank(basis) < len(basis) if basis else False
+            for target in (probe, inside):
+                outside = fraction_rank(rows + [target]) != rank if rows else any(target)
+                x = _relation(target, basis)
+                solved = fraction_solve(basis, target)
+                assert (x is None) == (outside or dependent) == (solved is None)
+                if x is None:
+                    continue
+                assert x[0] > 0 and math.gcd(*x) == 1
+                assert all(
+                    x[0] * t + sum(c * b[j] for c, b in zip(x[1:], basis)) == 0
+                    for j, t in enumerate(target)
+                )
+                assert [Fraction(-c, x[0]) for c in x[1:]] == solved

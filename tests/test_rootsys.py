@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import PROPERTY_TYPES, fraction_solve
 from coxstrata.errors import InvalidRank, InvariantViolation, NotSpanClosed
-from coxstrata.linalg import solve_in_basis
 from coxstrata.rootsys import (
     CartanType,
     _irreducible_type,
@@ -102,7 +102,7 @@ def test_simple_coefficients_solve_the_simple_root_basis():
         rs = build_root_system(name)
         basis = [rs.roots[i] for i in rs.simples]
         for v, coeffs in zip(rs.roots, rs.simple_coefficients):
-            assert solve_in_basis(basis, v) == list(coeffs), (name, v)
+            assert fraction_solve(basis, v) == list(coeffs), (name, v)
 
 
 def test_highest_root_dominates_every_root():
@@ -305,10 +305,6 @@ def test_deterministic_indexing():
     b = build_root_system.__wrapped__(CartanType.parse("B3"))
     assert [tuple(v) for v in a.roots] == [tuple(v) for v in b.roots]
     assert a.positives == b.positives
-
-
-# Types up to rank 4, plus G2 and F4, for the property tests.
-PROPERTY_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
 
 
 @st.composite

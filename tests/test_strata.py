@@ -6,12 +6,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import pos_of_coords
+from conftest import PROPERTY_TYPES, fraction_rank, fraction_solve, pos_of_coords
 from coxstrata.errors import NotInVariety, SpanDeficient
 from coxstrata.flats import leq
-from coxstrata.linalg import IncrementalSpan, solve_in_basis
-from coxstrata.rootsys import build_root_system
+from coxstrata.linalg import IncrementalSpan
+from coxstrata.rootsys import build_root_system, closure
 from coxstrata.strata import (
     ExtendedPoint,
     Functional,
@@ -205,8 +207,6 @@ def test_limit_chains_realize_closure_order(lattice_of):
             assert leq(lat, lo, hi)
             target = _member_of_flat(rs, lat, lo, rng)
             basis_positions = []
-            from coxstrata.linalg import IncrementalSpan
-
             span = IncrementalSpan(rs.ambient)
             for p in rs.positions(lo_mask):
                 if span.add(rs.roots[rs.positives[p]]):
@@ -215,7 +215,8 @@ def test_limit_chains_realize_closure_order(lattice_of):
                 tuple(basis_positions),
                 tuple(target.values[p] for p in basis_positions),
             )
-            lam0_pos = next(p for p in rs.positions(hi_mask) if not span.contains(rs.roots[rs.positives[p]]))
+            # lo is a flat, so a root of hi outside it is off lo's span
+            lam0_pos = next(p for p in rs.positions(hi_mask) if not lo_mask >> p & 1)
             lam0 = rs.positives[lam0_pos]
             approach = limit_point(rs, lo_mask, witness, lam0, 997, within=hi_mask)
             assert stratum_of(rs, lat, approach) == hi
@@ -251,7 +252,7 @@ def _relations_by_solving(rs):
     for p in range(rs.d):
         if p in basis_positions:
             continue
-        coeffs = solve_in_basis(basis, rs.roots[rs.positives[p]])
+        coeffs = fraction_solve(basis, rs.roots[rs.positives[p]])
         den = math.lcm(*(c.denominator for c in coeffs))
         rel = [0] * rs.d
         rel[p] = den
@@ -287,6 +288,93 @@ def test_relations_vanish_on_embedded_space(lattice_of):
             ]
             for rel in rels:
                 assert sum(c * values[p] for p, c in enumerate(rel)) == 0
+
+
+def _linked_positions(rs, mask):
+    """Positions of the flat's roots that are not orthogonal to another of its roots.
+
+    Such a root lies in an irreducible component of rank >= 2, so some
+    relation among the flat's roots involves it.
+    """
+    pos = rs.positions(mask)
+    vec = {p: rs.roots[rs.positives[p]] for p in pos}
+    return [
+        p for p in pos if any(q != p and sum(a * b for a, b in zip(vec[p], vec[q])) for q in pos)
+    ]
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4"])
+def test_rejection_relation_is_a_fundamental_circuit(lattice_of, name):
+    # Points built like the benchmark's reject_relation queries: the values
+    # of a functional on a flat, with one linked root's value moved by 1.
+    rng = random.Random(53)
+    rs, lat = lattice_of(name)
+    roots = [rs.roots[i] for i in rs.positives]
+    flats = [f for f in lat.flats if _linked_positions(rs, f.mask)]
+    for _ in range(40):
+        flat = rng.choice(flats)
+        bump = rng.choice(_linked_positions(rs, flat.mask))
+        h = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(rs.ambient)]
+        values = [None] * rs.d
+        for p in rs.positions(flat.mask):
+            values[p] = sum(a * c for a, c in zip(roots[p], h)) + (1 if p == bump else 0)
+        res = membership(rs, lat, ExtendedPoint(tuple(values)))
+        assert isinstance(res, Rejection) and res.relation is not None
+        rel = res.relation
+        support = relation_support(rel)
+        # The greedy basis takes roots in position order, so the root that
+        # broke its relation is the last of the relation's support.
+        assert rel[support[-1]] > 0
+        assert math.gcd(*rel) == 1
+        assert all(sum(rel[q] * roots[q][j] for q in support) == 0 for j in range(rs.ambient))
+        assert all(flat.mask >> q & 1 for q in support)
+        for q in support:
+            rest = [roots[s] for s in support if s != q]
+            assert fraction_rank(rest) == len(rest)
+        assert sum(rel[q] * values[q] for q in support) != 0
+
+
+@st.composite
+def points(draw):
+    """A type and a point: a functional's values on a random support, maybe moved."""
+    rs = build_root_system(draw(st.sampled_from(PROPERTY_TYPES)))
+    positions = st.integers(0, rs.d - 1)
+    support = sum(1 << p for p in draw(st.sets(positions, max_size=6)))
+    if draw(st.booleans()):
+        support = closure(rs, support)
+    fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+    h = [draw(fractions) for _ in range(rs.ambient)]
+    values = [None] * rs.d
+    for p in rs.positions(support):
+        values[p] = sum(a * c for a, c in zip(rs.roots[rs.positives[p]], h))
+    for p in draw(st.sets(st.sampled_from(rs.positions(support) or [0]), max_size=2)):
+        if values[p] is not None:
+            values[p] += draw(fractions)
+    return rs, ExtendedPoint(tuple(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(points())
+def test_membership_agrees_with_the_fraction_reference(lattice_of, case):
+    # A point is in the variety iff its finite support S is span-closed and
+    # some h has root_q(h) == v_q for every q in S.
+    rs, point = case
+    _, lat = lattice_of(str(rs.ctype))
+    roots = [rs.roots[i] for i in rs.positives]
+    finite = point.finite_positions()
+    on_support = [roots[q] for q in finite]
+    rank = fraction_rank(on_support)
+    span_closed = all(
+        fraction_rank(on_support + [roots[q]]) > rank for q in range(rs.d) if q not in finite
+    )
+    columns = [[roots[q][j] for q in finite] for j in range(rs.ambient)]
+    h = fraction_solve(columns, [point.values[q] for q in finite], unique=False)
+    if h is not None:
+        assert all(sum(a * c for a, c in zip(roots[q], h)) == point.values[q] for q in finite)
+    res = membership(rs, lat, point)
+    assert isinstance(res, StratumResult) == (span_closed and h is not None)
+    if isinstance(res, StratumResult):
+        assert lat.flat(res.flat_id).mask == sum(1 << q for q in finite)
 
 
 def test_relation_support_dichotomy(lattice_of):
