@@ -9,7 +9,9 @@ enumeration in the test suite.
 
 from __future__ import annotations
 
+from collections import deque
 from math import comb
+from typing import Iterator
 
 from .errors import InvalidRank, RankOutOfRange
 from .rootsys import CartanType
@@ -23,63 +25,58 @@ EXCEPTIONAL_ROWS: dict[str, tuple[int, ...]] = {
 }
 
 
-# Rows S(n, 0..n) of the triangle computed so far, grown by a loop so that
-# no recursion depth grows with n.
-_STIRLING_ROWS: list[list[int]] = [[1]]
+def _stirling_rows(n: int) -> Iterator[list[int]]:
+    """Rows S(0, 0..0) to S(n, 0..n) of the triangle, keeping only the current row."""
+    row = [1]
+    yield row
+    for _ in range(n):  # S(m, k) = k * S(m - 1, k) + S(m - 1, k - 1)
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, len(row))] + [1]
+        yield row
+
+
+def _last_stirling_row(n: int) -> list[int]:
+    return deque(_stirling_rows(n), maxlen=1).pop()
 
 
 def stirling(n: int, k: int) -> int:
     """Set partitions of an n-set into k nonempty blocks; S(0,0)=1."""
     if n < 0 or k < 0:
         raise ValueError("stirling arguments must be nonnegative")
-    rows = _STIRLING_ROWS
-    while len(rows) <= n:
-        prev = rows[-1]  # S(n, k) = k * S(n - 1, k) + S(n - 1, k - 1)
-        rows.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, len(prev))] + [1])
-    return rows[n][k] if k <= n else 0
+    return _last_stirling_row(n)[k] if k <= n else 0
 
 
 def bell(n: int) -> int:
     """Total number of set partitions of an n-set."""
-    return sum(stirling(n, k) for k in range(n + 1))
+    return sum(_last_stirling_row(n))
 
 
-def _f_a(r: int, k: int) -> int:
-    return stirling(r + 1, k + 1)
+def _classical_row(family: str, r: int) -> list[int]:
+    """Codimension-k counts, k = 0..r, for family A, B (= C) or D of rank r.
 
-
-def _f_b(r: int, k: int) -> int:
-    return sum(comb(r, i) * stirling(r - i, k) * 2 ** (r - k - i) for i in range(r - k + 1))
-
-
-def _f_d(r: int, k: int) -> int:
-    total = sum(comb(r, i) * stirling(i, k) * 2 ** (i - k) for i in range(k, r + 1))
-    if k <= r - 1:
-        total -= r * stirling(r - 1, k) * 2 ** (r - 1 - k)
-    return total
+    A: S(r + 1, k + 1).  B: sum over m of C(r, m) S(m, k) 2^(m - k).  D: the
+    B sum less r S(r - 1, k) 2^(r - 1 - k), i.e. the B sum without m = r - 1.
+    """
+    if family == "A":
+        return _last_stirling_row(r + 1)[1:]
+    out = [0] * (r + 1)
+    for m, row in enumerate(_stirling_rows(r)):
+        weight = 0 if family == "D" and m == r - 1 else comb(r, m)
+        for k, s in enumerate(row):
+            out[k] += weight * s << (m - k)
+    return out
 
 
 def dowling(n: int) -> int:
     """Row sum of the signed-partition counts (the B-family analogue of Bell)."""
-    return sum(_f_b(n, k) for k in range(n + 1))
+    return sum(_classical_row("B", n))
 
 
 def f_closed_form(ctype: CartanType | str, k: int) -> int:
     """Number of codimension-k strata for an irreducible type."""
-    if isinstance(ctype, str):
-        ctype = CartanType.parse(ctype)
-    if not ctype.is_irreducible:
-        raise InvalidRank("closed forms are per irreducible factor")
-    family, r = ctype.factors[0]
-    if not 0 <= k <= r:
-        raise RankOutOfRange(f"k={k} outside [0, {r}]")
-    if family == "A":
-        return _f_a(r, k)
-    if family in ("B", "C"):
-        return _f_b(r, k)
-    if family == "D":
-        return _f_d(r, k)
-    return exceptional_table(ctype, k)
+    row = betti_row_closed_form(ctype)
+    if not 0 <= k < len(row):
+        raise RankOutOfRange(f"k={k} outside [0, {len(row) - 1}]")
+    return row[k]
 
 
 def exceptional_table(ctype: CartanType | str, k: int) -> int:
@@ -96,9 +93,15 @@ def exceptional_table(ctype: CartanType | str, k: int) -> int:
 
 
 def betti_row_closed_form(ctype: CartanType | str) -> list[int]:
+    """Stratum counts by codimension for an irreducible type."""
     if isinstance(ctype, str):
         ctype = CartanType.parse(ctype)
-    return [f_closed_form(ctype, k) for k in range(ctype.rank + 1)]
+    if not ctype.is_irreducible:
+        raise InvalidRank("closed forms are per irreducible factor")
+    family, r = ctype.factors[0]
+    if family not in "ABCD":
+        return list(EXCEPTIONAL_ROWS[str(ctype)])
+    return _classical_row("B" if family == "C" else family, r)
 
 
 def _egf_term(a: list[list[int]], b: list[list[int]], n: int) -> list[int]:

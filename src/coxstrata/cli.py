@@ -2,9 +2,7 @@
 
 `betti`, `lattice` and `verify` take --allow-huge, which lifts the flat
 budget; every budget is checked before any enumeration.  `verify E8
---allow-huge` runs the counts-only sweep and the orbit walk (~8.5 min); in
-`verify --level full --allow-huge`, E8's 15 checks replace the former
-single line E8:betti-row-matches-stored-table.
+--allow-huge` runs the counts-only sweep and the orbit walk (~8.5 min).
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or I/O error.
 Environment: COXSTRATA_CACHE (lattice cache directory, default ./.coxstrata),
@@ -21,12 +19,14 @@ import os
 import re
 import struct
 import sys
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 from . import betti
 from .cohomology import GradedClass, cup
-from .errors import CoxstrataError, InvalidRank, NotClassical, ResourceLimit
+from .errors import CoxstrataError, InvalidRank, InvariantViolation, NotClassical, ResourceLimit
 from .flats import (
     DEFAULT_FLAT_BUDGET,
     IntersectionLattice,
@@ -36,8 +36,8 @@ from .flats import (
 )
 from .goodsub import bds_candidates, param_F
 from .rootsys import CartanType, RootSystem, build_root_system, classify_subsystem
-from .strata import ExtendedPoint, Rejection, membership
-from .weyl import parabolic_summary
+from .strata import ExtendedPoint, Rejection, _stratum
+from .weyl import flat_levels, parabolic_summary
 
 CACHE_MAGIC = b"CXLT"
 CACHE_VERSION = 2
@@ -248,9 +248,11 @@ def cmd_good(args) -> int:
                 f"{classify_subsystem(rs, mask)} positives {rs.positions(mask)}"
             )
         return 0
-    lat = _lattice_for(rs, _cache_dir(None), False)
-    for fid in lat.by_rank[rs.rank - 1]:
-        mask = lat.flats[fid].mask
+    if args.classical_param and rs.ctype.factors[0][0] not in "ABCD":
+        raise NotClassical(f"{rs.ctype} is not classical")
+    check_flat_budget(rs, DEFAULT_FLAT_BUDGET)
+    offset, level, _ = next(islice(flat_levels(rs), rs.rank - 1, None))
+    for fid, mask in enumerate(level, offset):
         line = f"flat {fid}: {classify_subsystem(rs, mask)} positives {rs.positions(mask)}"
         if args.classical_param:
             line += f"  param {sorted(param_F(rs, mask))}"
@@ -322,15 +324,20 @@ def _parse_point(text: str, rs: RootSystem) -> ExtendedPoint:
 def cmd_member(args) -> int:
     rs = build_root_system(_parse_type(args.type))
     point = _parse_point(args.point, rs)
-    lat = _lattice_for(rs, _cache_dir(None), False)
-    result = membership(rs, lat, point)
+    check_flat_budget(rs, DEFAULT_FLAT_BUDGET)
+    result = _stratum(rs, point)
     if isinstance(result, Rejection):
         print(f"not in variety: {result.reason}")
         return 0
-    flat = lat.flat(result.flat_id)
+    mask, witness = result
+    rank = len(witness.basis_positions)
+    offset, level, _ = next(islice(flat_levels(rs), rank, None))
+    place = bisect_left(level, mask)
+    if level[place : place + 1] != [mask]:
+        raise InvariantViolation(f"stratum mask {mask} is not a rank-{rank} flat")
     print(
-        f"stratum rank {flat.rank} (flat {flat.id}, codimension {rs.rank - flat.rank}), "
-        f"witness on positions {list(result.witness.basis_positions)}"
+        f"stratum rank {rank} (flat {offset + place}, codimension {rs.rank - rank}), "
+        f"witness on positions {list(witness.basis_positions)}"
     )
     return 0
 

@@ -85,10 +85,8 @@ def fin_set(rs: RootSystem, point: ExtendedPoint) -> int:
     return mask
 
 
-def membership(
-    rs: RootSystem, lat: IntersectionLattice, point: ExtendedPoint
-) -> StratumResult | Rejection:
-    """Decide membership; return the stratum flat and witness, or the obstruction.
+def _stratum(rs: RootSystem, point: ExtendedPoint) -> tuple[int, Functional] | Rejection:
+    """The stratum's flat mask and a witness, or the first obstruction.
 
     The point lies in the variety iff its finite support is span-closed
     and the finite values satisfy every rational linear relation among
@@ -120,7 +118,17 @@ def membership(
             for c, q in zip(x, positions):
                 relation[q] += c
             return Rejection("finite values violate a root relation", relation=tuple(relation))
-    return StratumResult(lat.id_of[fin], witness)
+    return fin, witness
+
+
+def membership(
+    rs: RootSystem, lat: IntersectionLattice, point: ExtendedPoint
+) -> StratumResult | Rejection:
+    """Decide membership; return the stratum flat and witness, or the obstruction."""
+    result = _stratum(rs, point)
+    if isinstance(result, Rejection):
+        return result
+    return StratumResult(lat.id_of[result[0]], result[1])
 
 
 def stratum_of(rs: RootSystem, lat: IntersectionLattice, point: ExtendedPoint) -> int:

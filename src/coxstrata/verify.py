@@ -1,7 +1,7 @@
 """Invariant suites behind the `verify` command.
 
 Each suite yields (check name, passed, detail) triples; the CLI prints
-one line per check and fails on the first counterexample's exit code.
+every check, one line each, and exits 1 if any of them failed.
 Sample sizes are chosen so a quick battery stays desk-scale.
 """
 

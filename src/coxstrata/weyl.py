@@ -11,7 +11,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import InvariantViolation, MalformedWord
 from .flats import IntersectionLattice
@@ -85,15 +85,13 @@ class OrbitSummary:
         return sum(len(rows) for rows in self.per_rank)
 
 
-def parabolic_summary(rs: RootSystem) -> OrbitSummary:
-    """One record per W-orbit of flats, from the orbits of the 2^r parabolic flats.
+def flat_levels(rs: RootSystem) -> Iterator[tuple[int, list[int], list[tuple[int, int]]]]:
+    """Per rank k = 0..r: the first rank-k flat id, the sorted rank-k masks, and
+    the sorted (least mask, size) of the W-orbits among them.
 
-    Each rank-k flat is W-conjugate to closure(J) for k simple roots J
-    (Orlik-Solomon).  A representative is its orbit's least mask, numbered
-    as in the lattice: rank offset plus place in the rank's sorted flats.
+    Every rank-k flat is W-conjugate to closure(J) for k simple roots J
+    (Orlik-Solomon).  Ids are the lattice's: rank offset plus place in the level.
     """
-    w = weyl_order(rs.ctype)
-    per_rank = []
     offset = 0
     for k in range(rs.rank + 1):
         level: set[int] = set()
@@ -104,14 +102,22 @@ def parabolic_summary(rs: RootSystem) -> OrbitSummary:
                 level |= orbit
                 orbits.append((min(orbit), len(orbit)))
         ordered = sorted(level)
+        yield offset, ordered, sorted(orbits)
+        offset += len(ordered)
+
+
+def parabolic_summary(rs: RootSystem) -> OrbitSummary:
+    """One record per W-orbit of flats; a representative is its orbit's least mask."""
+    w = weyl_order(rs.ctype)
+    per_rank = []
+    for offset, ordered, orbits in flat_levels(rs):
         records = []
-        for rep, size in sorted(orbits):
+        for rep, size in orbits:
             if w % size:
                 raise InvariantViolation("orbit size must divide the group order")
             fid = offset + bisect_left(ordered, rep)
             records.append(OrbitRecord(fid, size, w // size, classify_subsystem(rs, rep)))
         per_rank.append(tuple(records))
-        offset += len(ordered)
     return OrbitSummary(tuple(per_rank), w)
 
 

@@ -92,13 +92,28 @@ def test_betti_builds_no_root_system_without_enum(monkeypatch, capsys):
 
 
 def test_betti_of_a_large_classical_type_needs_no_deep_recursion():
-    # A subprocess, so the Stirling rows it memoises leave with it.
+    # A subprocess: a fresh interpreter with the default recursion limit.
     result = run_cli("betti", "A600")
     assert result.returncode == 0, result.stderr
     row = result.stdout.split()
     assert len(row) == 601
     # S(601, 1), S(601, 2) and S(601, 601)
     assert row[:2] == ["1", str(2**600 - 1)] and row[-1] == "1"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_betti_of_a_large_classical_type_keeps_one_stirling_row():
+    # The whole triangle S(0..1201, .) would peak near 400 MB; one row needs a few MB.
+    script = (
+        "import io, contextlib\n"
+        "from coxstrata.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['betti', 'A1200']) == 0\n"
+        "print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM')))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) <= 100 * 1024  # kB
 
 
 def test_member_fixtures(capsys):
@@ -356,10 +371,7 @@ def test_usage_errors_exit_2():
 # -- the one lattice path and its cache ---------------------------------------
 
 LATTICE_COMMANDS = [
-    ["good", "B3"],
-    ["good", "A3", "--classical-param"],
     ["cup", "A3"],
-    ["member", "A3", "--point", "-1,2,1,3,2,1"],
 ]
 
 
@@ -420,6 +432,84 @@ def test_orbits_builds_loads_and_saves_no_lattice(name, monkeypatch, capsys):
     assert not Path(os.environ["COXSTRATA_CACHE"]).exists()
 
 
+# Outputs recorded from the lattice-based commands, before `good` and `member`
+# took their flat ids from the orbit walk.
+WALK_COMMAND_OUTPUT = {
+    "good B3": """\
+flat 10: A1xA1 positives [0, 2]
+flat 11: A2 positives [1, 2, 4]
+flat 12: A1xA1 positives [3, 4]
+flat 13: B2 positives [0, 1, 3, 5]
+flat 14: A1xA1 positives [1, 6]
+flat 15: A1xA1 positives [5, 6]
+flat 16: A1xA1 positives [3, 7]
+flat 17: A2 positives [2, 5, 7]
+flat 18: B2 positives [0, 4, 6, 7]
+flat 19: A1xA1 positives [0, 8]
+flat 20: A2 positives [4, 5, 8]
+flat 21: B2 positives [2, 3, 6, 8]
+flat 22: A2 positives [1, 7, 8]
+""",
+    "good A3 --classical-param": """\
+flat 7: A1xA1 positives [0, 2]  param [(1, 1), (3, 3)]
+flat 8: A2 positives [0, 1, 3]  param [(2, 2), (3, 3)]
+flat 9: A2 positives [1, 2, 4]  param [(1, 1), (2, 2)]
+flat 10: A1xA1 positives [3, 4]  param [(1, 2), (2, 3)]
+flat 11: A1xA1 positives [1, 5]  param [(1, 3), (2, 2)]
+flat 12: A2 positives [2, 3, 5]  param [(1, 1), (2, 3)]
+flat 13: A2 positives [0, 4, 5]  param [(1, 2), (3, 3)]
+""",
+    "good G2": "".join(f"flat {i + 1}: A1 positives [{i}]\n" for i in range(6)),
+    "member A3 --point -1,2,1,3,2,1": "not in variety: finite values violate a root relation\n",
+    "member A2 --point 1,2,inf": "not in variety: finite support is not span-closed\n",
+    "member G2 --point 5,inf,inf,inf,inf,inf": (
+        "stratum rank 1 (flat 1, codimension 1), witness on positions [0]\n"
+    ),
+    "member B3 --point inf,inf,inf,inf,7/3,-19/6,inf,inf,-5/6": (
+        "stratum rank 2 (flat 20, codimension 1), witness on positions [4, 5]\n"
+    ),
+    "member C3 --point inf,inf,-3/2,1,inf,inf,-1/2,inf,inf": (
+        "stratum rank 2 (flat 14, codimension 1), witness on positions [2, 3]\n"
+    ),
+    "member D4 --point 2,-8,5,-2/3,7,-3,13/3,-1,19/3,-11/3,-5/3,10/3": (
+        "stratum rank 4 (flat 71, codimension 0), witness on positions [0, 1, 2, 3]\n"
+    ),
+    "member F4 --point " + ",".join(
+        {3: "23/3", 10: "-16/3", 14: "7/3", 17: "10"}.get(p, "inf") for p in range(24)
+    ): "stratum rank 2 (flat 80, codimension 2), witness on positions [3, 10]\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(WALK_COMMAND_OUTPUT))
+def test_member_and_good_build_load_and_save_no_lattice(command, monkeypatch, capsys):
+    monkeypatch.setattr("coxstrata.cli.build_lattice", _refuse_to_build)
+    monkeypatch.setattr("coxstrata.cli.load_lattice_cache", _refuse_to_build)
+    monkeypatch.setattr("coxstrata.cli.save_lattice_cache", _refuse_to_build)
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out == WALK_COMMAND_OUTPUT[command]
+    assert not Path(os.environ["COXSTRATA_CACHE"]).exists()
+
+
+def test_member_mask_missing_from_its_level_is_an_invariant_violation(monkeypatch, capsys):
+    def levels_without_flats(rs):
+        for _ in range(rs.rank + 1):
+            yield 0, [], []
+
+    monkeypatch.setattr("coxstrata.cli.flat_levels", levels_without_flats)
+    assert main(["member", "A2", "--point", "1,2,3"]) == 2
+    assert capsys.readouterr().err == "error: stratum mask 7 is not a rank-2 flat\n"
+
+
+@pytest.mark.parametrize("name", ["G2", "E7", "E8"])
+def test_good_classical_param_refuses_exceptional_types_before_any_walk(
+    name, monkeypatch, capsys
+):
+    monkeypatch.setattr("coxstrata.weyl._orbit_masks", _refuse_to_build)
+    monkeypatch.setattr("coxstrata.cli.build_lattice", _refuse_to_build)
+    assert main(["good", name, "--classical-param"]) == 2
+    assert capsys.readouterr().err == f"error: {name} is not classical\n"
+
+
 def _no_sweep(*args, **kwargs):
     raise AssertionError("the flat sweep started")
 
@@ -465,7 +555,7 @@ def _save_version_1_cache(lat, path):
 
 
 def test_corrupt_or_old_cache_is_rebuilt(tmp_path, capsys):
-    argv = ["good", "B3"]
+    argv = ["cup", "B3"]
     rs, path = build_root_system("B3"), _cache_file(argv)
     assert main(argv) == 0
     expected = capsys.readouterr().out

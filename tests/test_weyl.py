@@ -14,6 +14,7 @@ from coxstrata.rootsys import classify_subsystem
 from coxstrata.strata import ExtendedPoint
 from coxstrata.weyl import (
     OrbitRecord,
+    flat_levels,
     orbit_of_flat,
     parabolic_summary,
     weyl_act_point,
@@ -148,6 +149,13 @@ def test_parabolic_summary_equals_partition_of_lattice_levels(name, lattice_of):
     rs, lat = lattice_of(name)
     summary = parabolic_summary(rs)
     assert summary.per_rank == _partition_of_levels(rs, lat)
+    # The walk that numbers the representatives numbers every flat as the lattice does.
+    levels = list(flat_levels(rs))
+    assert len(levels) == len(lat.by_rank)
+    for (offset, masks, orbits), ids in zip(levels, lat.by_rank):
+        assert ids == list(range(offset, offset + len(masks)))
+        assert masks == [lat.flat(fid).mask for fid in ids]
+        assert sum(size for _, size in orbits) == len(masks)
 
 
 def test_e7_orbit_sizes_give_the_stored_row():
