@@ -1,12 +1,14 @@
 """Command-line surface: tables, JSON/CSV export, verification, caching.
 
 `betti`, `lattice` and `verify` take --allow-huge, which lifts the flat
-budget; every budget is checked before any enumeration.  `verify E8
---allow-huge` runs the counts-only sweep and the orbit walk (~8.5 min).
+budget; every budget is checked before any enumeration.  Every command
+that enumerates flats (`betti --method enum`, `lattice`, `cup`, `orbits`,
+`good`, `member`, `verify`) uses the W-orbit walk of flats.py; `verify`
+also counts the flats by the closure sweep, its independent second route.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or I/O error.
 Environment: COXSTRATA_CACHE (lattice cache directory, default ./.coxstrata),
-COXSTRATA_THREADS (worker count for lattice sweeps).
+COXSTRATA_THREADS (worker count for verify's closure sweep).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import struct
 import sys
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import islice
 from pathlib import Path
 
 from . import betti
@@ -32,12 +33,13 @@ from .flats import (
     IntersectionLattice,
     build_lattice,
     check_flat_budget,
-    enumerate_rank_counts,
+    flat_level,
+    walk_rank_counts,
 )
 from .goodsub import bds_candidates, param_F
 from .rootsys import CartanType, RootSystem, build_root_system, classify_subsystem
 from .strata import ExtendedPoint, Rejection, _stratum
-from .weyl import flat_levels, parabolic_summary
+from .weyl import parabolic_summary
 
 CACHE_MAGIC = b"CXLT"
 CACHE_VERSION = 2
@@ -165,8 +167,7 @@ def cmd_rootinfo(args) -> int:
 
 def _betti_row_enum(rs: RootSystem, allow_huge: bool) -> list[int]:
     budget = None if allow_huge else DEFAULT_FLAT_BUDGET
-    counts = enumerate_rank_counts(rs, max_flats=budget)
-    return list(reversed(counts))
+    return list(reversed(walk_rank_counts(rs, max_flats=budget)))
 
 
 def cmd_betti(args) -> int:
@@ -251,7 +252,7 @@ def cmd_good(args) -> int:
     if args.classical_param and rs.ctype.factors[0][0] not in "ABCD":
         raise NotClassical(f"{rs.ctype} is not classical")
     check_flat_budget(rs, DEFAULT_FLAT_BUDGET)
-    offset, level, _ = next(islice(flat_levels(rs), rs.rank - 1, None))
+    offset, level = flat_level(rs, rs.rank - 1)
     for fid, mask in enumerate(level, offset):
         line = f"flat {fid}: {classify_subsystem(rs, mask)} positives {rs.positions(mask)}"
         if args.classical_param:
@@ -331,7 +332,7 @@ def cmd_member(args) -> int:
         return 0
     mask, witness = result
     rank = len(witness.basis_positions)
-    offset, level, _ = next(islice(flat_levels(rs), rank, None))
+    offset, level = flat_level(rs, rank)
     place = bisect_left(level, mask)
     if level[place : place + 1] != [mask]:
         raise InvariantViolation(f"stratum mask {mask} is not a rank-{rank} flat")

@@ -1,16 +1,24 @@
 """Intersection lattice of a reflection arrangement.
 
 Flats are canonical span-closed root subsystems, stored as bit masks
-over positive-root positions and graded by span dimension.  The lattice
-is enumerated by level BFS: each rank-(k+1) flat is the span closure of
-a rank-k flat plus one root outside it, deduplicated by mask.
+over positive-root positions and graded by span dimension.
+
+Every command that enumerates flats (`betti --method enum`, `lattice`,
+`cup`, `orbits`, `good`, `member`, `verify`) reads the W-orbit walk,
+`walk_level`, one rank at a time.  The closure sweep
+`enumerate_rank_counts` is the independent second route to the counts
+that `verify` checks the walk against, and the only user of
+COXSTRATA_THREADS.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
+
 import numpy as np
 
 from .betti import betti_row_closed_form
@@ -198,21 +206,14 @@ def check_flat_budget(rs: RootSystem, max_flats: int | None) -> None:
         raise ResourceLimit(f"flat budget {max_flats} exceeded: {rs.ctype} has {total} flats")
 
 
-def _sweep(
-    rs: RootSystem, workers: int | None, keep: bool
-) -> tuple[list[list[int]] | None, list[int], list[tuple[int, int]] | None]:
-    """Level BFS over all flats; returns (levels, rank counts, covers)."""
+def _sweep(rs: RootSystem, workers: int | None) -> list[int]:
+    """Level BFS over all flats by _expand_flat; returns the rank counts."""
     workers = _resolve_workers(workers)
-    levels: list[list[int]] | None = [[0]] if keep else None
     counts = [1]
-    covers: list[tuple[int, int]] | None = [] if keep else None
     frontier = [0]
-    id_base = 0
     pool: ProcessPoolExecutor | None = None
     try:
         for _ in range(rs.rank):
-            next_keys: set[int] = set()
-            next_covers: list[tuple[int, int]] = []
             if workers > 1 and len(frontier) >= 64 * workers and pool is None:
                 pool = ProcessPoolExecutor(
                     max_workers=workers,
@@ -227,42 +228,186 @@ def _sweep(
                 )
             else:
                 per_parent = (_expand_flat(rs, m) for m in frontier)
-            for offset, kids in enumerate(per_parent):
-                parent_id = id_base + offset
-                for child in kids:
-                    next_keys.add(child)
-                    if keep:
-                        next_covers.append((parent_id, child))
-            new_masks = sorted(next_keys)
-            counts.append(len(new_masks))
-            id_base += len(frontier)
-            if keep:
-                assert levels is not None and covers is not None
-                levels.append(new_masks)
-                child_id = {m: id_base + i for i, m in enumerate(new_masks)}
-                covers.extend((pid, child_id[m]) for pid, m in next_covers)
-            frontier = new_masks
+            next_keys: set[int] = set()
+            for kids in per_parent:
+                next_keys.update(kids)
+            frontier = sorted(next_keys)
+            counts.append(len(frontier))
     finally:
         if pool is not None:
             pool.shutdown()
-    return levels, counts, covers
+    return counts
+
+
+# -- the W-orbit walk --------------------------------------------------------
+#
+# Every rank-k flat is W-conjugate to a parabolic flat closure(J) with k
+# simple roots J (Orlik-Solomon), so a breadth-first walk under the simple
+# reflections from those flats meets every rank-k flat.  A mask is a row of
+# ceil(d/64) uint64 words, high word first, so row order is mask order.
+# Simple reflections are involutions, so a new BFS layer can only repeat
+# the two layers before it.
+
+
+def _keys(rs: RootSystem, masks: list[int]) -> np.ndarray:
+    words = -(-rs.d // 64)
+    shifts = range(64 * words - 64, -1, -64)
+    rows = [[m >> s & 0xFFFF_FFFF_FFFF_FFFF for s in shifts] for m in masks]
+    return np.array(rows, dtype=np.uint64).reshape(len(masks), words)
+
+
+def _masks(keys: np.ndarray) -> list[int]:
+    masks = keys[:, 0].tolist()
+    for j in range(1, keys.shape[1]):
+        masks = [m << 64 | w for m, w in zip(masks, keys[:, j].tolist())]
+    return masks
+
+
+def _order(keys: np.ndarray, *minor: np.ndarray) -> np.ndarray:
+    # A tuple of columns: stacking the words with an int column would cast
+    # them to float64 and merge distinct masks.
+    return np.lexsort((*minor, *keys.T[::-1]))
+
+
+def _gather(rs: RootSystem) -> np.ndarray:
+    """Row s, column q: the position that simple reflection s sends to q."""
+    return np.array([np.argsort(rs.positive_perm(s)) for s in rs.simples])
+
+
+def _images(keys: np.ndarray, gather: np.ndarray, d: int) -> np.ndarray:
+    """Row i * r + s is the image of row i under simple reflection s.
+
+    Rows go through 1,000 at a time: the bit arrays stay small and in
+    cache on big levels.
+    """
+    n, words = keys.shape
+    r = len(gather)
+    out = np.empty((n * r, words), np.uint64)
+    for lo in range(0, n, 1000):
+        little = np.ascontiguousarray(keys[lo : lo + 1000, ::-1], dtype="<u8")
+        bits = np.unpackbits(little.view(np.uint8), axis=1, bitorder="little")
+        moved = np.zeros((len(little), r, 64 * words), np.uint8)
+        moved[:, :, :d] = bits[:, gather]
+        packed = np.packbits(moved, axis=2, bitorder="little").reshape(-1, 8 * words)
+        out[lo * r : (lo + len(little)) * r] = packed.view("<u8")[:, ::-1]
+    return out
+
+
+def _fresh(cand: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """The distinct rows of cand that are no rows of old, sorted."""
+    keys = np.concatenate([old, cand])
+    is_cand = np.arange(len(keys)) >= len(old)
+    order = _order(keys, is_cand)
+    keys, is_cand = keys[order], is_cand[order]
+    return keys[is_cand & np.append(True, (keys[1:] != keys[:-1]).any(axis=1))]
+
+
+def _orbit(rs: RootSystem, gather: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The keys of the W-orbit of the one-row start, in BFS order."""
+    prev, frontier, layers = start[:0], start, []
+    while len(frontier):
+        layers.append(frontier)
+        cand = _images(frontier, gather, rs.d)
+        prev, frontier = frontier, _fresh(cand, np.concatenate([prev, frontier]))
+    return np.concatenate(layers)
+
+
+def walk_level(rs: RootSystem, k: int) -> tuple[int, np.ndarray, list[tuple[int, int, int]]]:
+    """Rank k of the walk: the id of its first flat, its sorted keys, and
+    the sorted (place, size, mask) of each W-orbit's least flat.
+
+    A flat's id is the first id plus its place; the first id is the
+    closed-form count of the flats of lower rank.
+    """
+    gather = _gather(rs)
+    todo = _keys(rs, sorted({closure(rs, J) for J in combinations(rs.simples, k)}))
+    orbits = []
+    while len(todo):
+        orbits.append(_orbit(rs, gather, todo[:1]))
+        todo = _fresh(todo, orbits[-1])
+    walk = np.concatenate(orbits)
+    order = _order(walk)
+    label = np.repeat(np.arange(len(orbits)), [len(o) for o in orbits])[order]
+    _, least, size = np.unique(label, return_index=True, return_counts=True)
+    keys = walk[order]
+    first = sum(list(reversed(betti_row_closed_form(rs.ctype)))[:k])
+    # Only the least flats become ints: E8's whole rank 2 would take 360 MB.
+    return first, keys, sorted(zip(least.tolist(), size.tolist(), _masks(keys[least])))
+
+
+def flat_level(rs: RootSystem, k: int) -> tuple[int, list[int]]:
+    """The id of the first rank-k flat and the sorted rank-k masks."""
+    first, keys, _ = walk_level(rs, k)
+    return first, _masks(keys)
+
+
+def walk_rank_counts(rs: RootSystem, *, max_flats: int | None = DEFAULT_FLAT_BUDGET) -> list[int]:
+    """Per-rank flat counts from the W-orbit walk; one rank is held at a time."""
+    check_flat_budget(rs, max_flats)
+    return [len(walk_level(rs, k)[1]) for k in range(rs.rank + 1)]
+
+
+def _moves(rs: RootSystem, keys: np.ndarray) -> np.ndarray:
+    """Row s, column x: the place of s(x) in the sorted level."""
+    n, r = len(keys), rs.rank
+    images = _images(keys, _gather(rs), rs.d).reshape(n, r, -1)
+    moves = np.empty((r, n), np.int64)
+    for s in range(r):
+        moves[s, _order(images[:, s])] = np.arange(n)
+    return moves
+
+
+def _cover_places(
+    rs: RootSystem,
+    orbits: list[tuple[int, int, int]],
+    upper_masks: list[int],
+    down: np.ndarray,
+    up: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(place, upper place) of every cover from one level to the next.
+
+    _expand_flat runs once per W-orbit, at its least flat.  W acts on the
+    lattice, so a BFS over the orbit carries the covers: those of s(x) are
+    s applied to those of x.
+    """
+    seen = np.zeros(down.shape[1], bool)
+    los, his = [], []
+    for least, _, mask in orbits:
+        kids = [bisect_left(upper_masks, m) for m in _expand_flat(rs, mask)]
+        frontier, children = np.array([least]), np.array([kids])
+        seen[least] = True
+        while len(frontier):
+            los.append(np.repeat(frontier, len(kids)))
+            his.append(children.ravel())
+            frontier, first = np.unique(down[:, frontier], return_index=True)
+            children = up[:, children].reshape(-1, len(kids))[first]
+            fresh = ~seen[frontier]
+            frontier, children = frontier[fresh], children[fresh]
+            seen[frontier] = True
+    return np.concatenate(los), np.concatenate(his)
 
 
 def build_lattice(
-    rs: RootSystem,
-    *,
-    max_flats: int | None = DEFAULT_FLAT_BUDGET,
-    workers: int | None = None,
+    rs: RootSystem, *, max_flats: int | None = DEFAULT_FLAT_BUDGET
 ) -> IntersectionLattice:
-    """Enumerate all flats with covers, deterministically.
+    """Enumerate all flats with covers, deterministically, by the W-orbit walk.
 
     Raises ResourceLimit when the flat count would exceed max_flats
     (pass None, or a larger cap, to opt in to huge types such as E8).
     """
     check_flat_budget(rs, max_flats)
-    levels, _, covers = _sweep(rs, workers, keep=True)
-    assert levels is not None and covers is not None
-    covers.sort()
+    walks = [walk_level(rs, k) for k in range(rs.rank + 1)]
+    levels = [_masks(keys) for _, keys, _ in walks]
+    moves = [_moves(rs, keys) for _, keys, _ in walks]
+    # Covers share one int object per id; 892,102 E7 covers would not.
+    ids = list(range(sum(map(len, levels))))
+    covers: list[tuple[int, int]] = []
+    for k in range(rs.rank):
+        (first, _, orbits), upper = walks[k], walks[k + 1][0]
+        lo, hi = _cover_places(rs, orbits, levels[k + 1], *moves[k : k + 2])
+        order = np.lexsort((hi, lo))
+        lo_ids = map(ids.__getitem__, (first + lo[order]).tolist())
+        covers += zip(lo_ids, map(ids.__getitem__, (upper + hi[order]).tolist()))
     return IntersectionLattice(rs, levels, covers)
 
 
@@ -272,10 +417,14 @@ def enumerate_rank_counts(
     max_flats: int | None = DEFAULT_FLAT_BUDGET,
     workers: int | None = None,
 ) -> list[int]:
-    """Per-rank flat counts only; memory stays per-level (E8-friendly)."""
+    """Per-rank flat counts by the closure sweep, with no W action.
+
+    The second route to the counts, independent of the walk: `verify`
+    compares the two.  Memory stays per level; workers (default
+    COXSTRATA_THREADS, else 1) expand each level in a process pool.
+    """
     check_flat_budget(rs, max_flats)
-    _, counts, _ = _sweep(rs, workers, keep=False)
-    return counts
+    return _sweep(rs, workers)
 
 
 def _resolve_workers(workers: int | None) -> int:

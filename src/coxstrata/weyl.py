@@ -7,15 +7,13 @@ orbit-stabilizer relation for stabilizer orders.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import InvariantViolation, MalformedWord
-from .flats import IntersectionLattice
-from .rootsys import CartanType, RootSystem, classify_subsystem, closure
+from .flats import IntersectionLattice, walk_level
+from .rootsys import CartanType, RootSystem, classify_subsystem
 
 _EXCEPTIONAL_ORDERS = {
     ("E", 6): 51840,
@@ -85,38 +83,17 @@ class OrbitSummary:
         return sum(len(rows) for rows in self.per_rank)
 
 
-def flat_levels(rs: RootSystem) -> Iterator[tuple[int, list[int], list[tuple[int, int]]]]:
-    """Per rank k = 0..r: the first rank-k flat id, the sorted rank-k masks, and
-    the sorted (least mask, size) of the W-orbits among them.
-
-    Every rank-k flat is W-conjugate to closure(J) for k simple roots J
-    (Orlik-Solomon).  Ids are the lattice's: rank offset plus place in the level.
-    """
-    offset = 0
-    for k in range(rs.rank + 1):
-        level: set[int] = set()
-        orbits = []
-        for start in {closure(rs, J) for J in combinations(rs.simples, k)}:
-            if start not in level:
-                orbit = _orbit_masks(rs, start)
-                level |= orbit
-                orbits.append((min(orbit), len(orbit)))
-        ordered = sorted(level)
-        yield offset, ordered, sorted(orbits)
-        offset += len(ordered)
-
-
 def parabolic_summary(rs: RootSystem) -> OrbitSummary:
     """One record per W-orbit of flats; a representative is its orbit's least mask."""
     w = weyl_order(rs.ctype)
     per_rank = []
-    for offset, ordered, orbits in flat_levels(rs):
+    for k in range(rs.rank + 1):
+        first, _, orbits = walk_level(rs, k)
         records = []
-        for rep, size in orbits:
+        for place, size, rep in orbits:
             if w % size:
                 raise InvariantViolation("orbit size must divide the group order")
-            fid = offset + bisect_left(ordered, rep)
-            records.append(OrbitRecord(fid, size, w // size, classify_subsystem(rs, rep)))
+            records.append(OrbitRecord(first + place, size, w // size, classify_subsystem(rs, rep)))
         per_rank.append(tuple(records))
     return OrbitSummary(tuple(per_rank), w)
 

@@ -330,6 +330,23 @@ def test_verify_e8_budget_follows_allow_huge(closed_form_counts, monkeypatch, ca
     assert capsys.readouterr().err.endswith("(use --allow-huge to opt in)\n")
 
 
+def test_verify_fails_when_the_sweep_disagrees_with_the_walk(monkeypatch, capsys):
+    # A lattice type gets its counts from the closure sweep, the route
+    # independent of the walk that builds its lattice and orbit table.
+    def one_flat_short(rs, *, max_flats):
+        counts = build_lattice(rs).rank_counts
+        return counts[:2] + [counts[2] - 1] + counts[3:]
+
+    monkeypatch.setattr("coxstrata.verify.enumerate_rank_counts", one_flat_short)
+    assert main(["verify", "A3"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert failed == [
+        "FAIL A3:betti-row-matches-closed-form  [[1, 6, 6, 1], [1, 7, 6, 1]]",
+        "FAIL A3:bell-row-sum  sum=14",
+        "FAIL A3:orbit-sizes-sum-to-rank-counts  [1, 6, 7, 1]",
+    ]
+
+
 def test_verify_allow_huge_lifts_the_lattice_budget(monkeypatch):
     budgets = []
 
@@ -491,11 +508,7 @@ def test_member_and_good_build_load_and_save_no_lattice(command, monkeypatch, ca
 
 
 def test_member_mask_missing_from_its_level_is_an_invariant_violation(monkeypatch, capsys):
-    def levels_without_flats(rs):
-        for _ in range(rs.rank + 1):
-            yield 0, [], []
-
-    monkeypatch.setattr("coxstrata.cli.flat_levels", levels_without_flats)
+    monkeypatch.setattr("coxstrata.cli.flat_level", lambda rs, k: (0, []))
     assert main(["member", "A2", "--point", "1,2,3"]) == 2
     assert capsys.readouterr().err == "error: stratum mask 7 is not a rank-2 flat\n"
 
@@ -504,7 +517,7 @@ def test_member_mask_missing_from_its_level_is_an_invariant_violation(monkeypatc
 def test_good_classical_param_refuses_exceptional_types_before_any_walk(
     name, monkeypatch, capsys
 ):
-    monkeypatch.setattr("coxstrata.weyl._orbit_masks", _refuse_to_build)
+    monkeypatch.setattr("coxstrata.flats._orbit", _refuse_to_build)
     monkeypatch.setattr("coxstrata.cli.build_lattice", _refuse_to_build)
     assert main(["good", name, "--classical-param"]) == 2
     assert capsys.readouterr().err == f"error: {name} is not classical\n"
@@ -528,7 +541,7 @@ def _no_sweep(*args, **kwargs):
 )
 def test_over_budget_e8_is_refused_before_any_enumeration(argv, monkeypatch, capsys):
     monkeypatch.setattr("coxstrata.flats._sweep", _no_sweep)
-    monkeypatch.setattr("coxstrata.weyl._orbit_masks", _no_sweep)
+    monkeypatch.setattr("coxstrata.flats._orbit", _no_sweep)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: flat budget 120000 exceeded: E8 has 5506504 flats")

@@ -29,6 +29,7 @@ from coxstrata.flats import (
     join,
     leq,
     mobius_table,
+    walk_rank_counts,
     whitney_first,
     whitney_second,
 )
@@ -238,7 +239,8 @@ def test_budget_is_checked_against_the_exact_flat_count(monkeypatch):
     check_flat_budget(rs, 116)
     check_flat_budget(rs, None)
     monkeypatch.setattr("coxstrata.flats._sweep", _no_sweep)
-    for route in (build_lattice, enumerate_rank_counts):
+    monkeypatch.setattr("coxstrata.flats._orbit", _no_sweep)
+    for route in (build_lattice, enumerate_rank_counts, walk_rank_counts):
         with pytest.raises(ResourceLimit, match=r"^flat budget 115 exceeded: B4 has 116 flats$"):
             route(rs, max_flats=115)
 
@@ -258,15 +260,40 @@ def test_covers_connect_adjacent_ranks(lattice_of):
         assert covered == {f.id for f in lat.flats if f.id != lat.bottom}
 
 
+# Every irreducible type with at most 5,000 flats.
+SMALL_TYPES = [
+    t
+    for t in [f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 8)]
+    + [f"C{r}" for r in range(2, 8)] + [f"D{r}" for r in range(3, 8)] + ["G2", "F4", "E6"]
+    if sum(betti_row_closed_form(t)) <= 5000
+]
+
+
+def _lattice_by_expansion(rs):
+    """Oracle: every flat expanded by _expand_flat, level by level, ids by (rank, mask)."""
+    levels, children = [[0]], {}
+    for _ in range(rs.rank):
+        for mask in levels[-1]:
+            children[mask] = _expand_flat(rs, mask)
+        levels.append(sorted({c for mask in levels[-1] for c in children[mask]}))
+    ids = {mask: i for i, mask in enumerate(m for level in levels for m in level)}
+    covers = sorted((ids[m], ids[c]) for m, kids in children.items() for c in kids)
+    return levels, covers
+
+
+@pytest.mark.parametrize("name", SMALL_TYPES)
+def test_walk_and_transported_covers_equal_expansion_of_every_flat(name, lattice_of):
+    rs, lat = lattice_of(name)
+    levels, covers = _lattice_by_expansion(rs)
+    assert [[lat.flats[i].mask for i in ids] for ids in lat.by_rank] == levels
+    assert lat.covers == covers
+
+
 def test_workers_do_not_change_output():
     # D5 frontiers are large enough that the pool actually engages
     rs = build_root_system("D5")
-    serial = build_lattice(rs, workers=1)
-    parallel = build_lattice(rs, workers=2)
-    assert [(f.rank, f.mask) for f in serial.flats] == [
-        (f.rank, f.mask) for f in parallel.flats
-    ]
-    assert serial.covers == parallel.covers
+    serial = enumerate_rank_counts(rs, workers=1)
+    assert enumerate_rank_counts(rs, workers=2) == serial == walk_rank_counts(rs)
 
 
 def _fraction_span(rows):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,12 +10,12 @@ from conftest import pos_of_coords
 from coxstrata import build_root_system
 from coxstrata.betti import betti_row_closed_form
 from coxstrata.errors import MalformedWord
-from coxstrata.flats import join, whitney_second
-from coxstrata.rootsys import classify_subsystem
+from coxstrata.flats import flat_level, join, whitney_second
+from coxstrata.rootsys import classify_subsystem, closure
 from coxstrata.strata import ExtendedPoint
 from coxstrata.weyl import (
     OrbitRecord,
-    flat_levels,
+    _orbit_masks,
     orbit_of_flat,
     parabolic_summary,
     weyl_act_point,
@@ -150,12 +151,23 @@ def test_parabolic_summary_equals_partition_of_lattice_levels(name, lattice_of):
     summary = parabolic_summary(rs)
     assert summary.per_rank == _partition_of_levels(rs, lat)
     # The walk that numbers the representatives numbers every flat as the lattice does.
-    levels = list(flat_levels(rs))
-    assert len(levels) == len(lat.by_rank)
-    for (offset, masks, orbits), ids in zip(levels, lat.by_rank):
+    for k, ids in enumerate(lat.by_rank):
+        offset, masks = flat_level(rs, k)
         assert ids == list(range(offset, offset + len(masks)))
         assert masks == [lat.flat(fid).mask for fid in ids]
-        assert sum(size for _, size in orbits) == len(masks)
+
+
+@pytest.mark.parametrize("name", ["E8", "B9"])
+def test_multiword_walk_equals_python_int_orbits(name):
+    # d > 64: each mask is two uint64 words.
+    rs = build_root_system(name)
+    for k in range(4):
+        expected = set()
+        for J in combinations(rs.simples, k):
+            start = closure(rs, J)
+            if start not in expected:
+                expected |= _orbit_masks(rs, start)
+        assert flat_level(rs, k)[1] == sorted(expected), (name, k)
 
 
 def test_e7_orbit_sizes_give_the_stored_row():
