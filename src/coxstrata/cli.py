@@ -7,8 +7,8 @@ that enumerates flats (`betti --method enum`, `lattice`, `cup`, `orbits`,
 also counts the flats by the closure sweep, its independent second route.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or I/O error.
-Environment: COXSTRATA_CACHE (lattice cache directory, default ./.coxstrata),
-COXSTRATA_THREADS (worker count for verify's closure sweep).
+The arguments are the only configuration: no environment variable is
+read, and only `lattice --cache-dir D` reads or writes a file (D/<type>.cxlt).
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import sys
 from bisect import bisect_left
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from . import betti
 from .cohomology import GradedClass, cup
@@ -61,23 +63,31 @@ def _parse_type(text: str) -> CartanType:
 # to its root system and rejects any corrupted byte.
 
 
-def _cache_header(rs: RootSystem, payload: bytes) -> bytes:
+def _cache_header(rs: RootSystem, parts: list) -> bytes:
     h = hashlib.sha256(
         b"|".join(b",".join(str(x).encode() for x in rs.roots[i]) for i in rs.positives)
     )
-    h.update(payload)
+    for part in parts:
+        h.update(part)
     return CACHE_MAGIC + struct.pack("<I", CACHE_VERSION) + h.digest()
 
 
 def save_lattice_cache(lat: IntersectionLattice, path: Path) -> None:
     mask_bytes = (lat.rs.d + 7) // 8
-    payload = struct.pack("<Q", len(lat.flats))
-    payload += b"".join(bytes([f.rank]) + f.mask.to_bytes(mask_bytes, "little") for f in lat.flats)
-    payload += b"".join(struct.pack("<II", lo, hi) for lo, hi in lat.covers)
+    # The parts go to the digest and the file one at a time: joining them
+    # (a bytes object per cover, then two copies) took E7 from 148 to 261 MB.
+    parts = [
+        struct.pack("<Q", len(lat.flats)),
+        b"".join(bytes([f.rank]) + f.mask.to_bytes(mask_bytes, "little") for f in lat.flats),
+        np.array(lat.covers, dtype="<u4"),
+    ]
     # A reader sees the old file or the whole new one, never a partial write.
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(_cache_header(lat.rs, payload) + payload)
+        with tmp.open("wb") as out:
+            out.write(_cache_header(lat.rs, parts))
+            for part in parts:
+                out.write(part)
         os.replace(tmp, path)
     except OSError:
         tmp.unlink(missing_ok=True)
@@ -91,7 +101,7 @@ def load_lattice_cache(rs: RootSystem, path: Path) -> IntersectionLattice | None
     except OSError:
         return None
     payload = memoryview(data)[40:]
-    if data[:40] != _cache_header(rs, payload):
+    if data[:40] != _cache_header(rs, [payload]):
         return None
     try:
         (n_flats,) = struct.unpack_from("<Q", payload)
@@ -100,32 +110,12 @@ def load_lattice_cache(rs: RootSystem, path: Path) -> IntersectionLattice | None
         levels: list[list[int]] = [[] for _ in range(rs.rank + 1)]
         for pos in range(8, end, step):
             levels[payload[pos]].append(int.from_bytes(payload[pos + 1 : pos + step], "little"))
-        covers = list(struct.iter_unpack("<II", payload[end:]))
+        # Covers share one int object per id, as build_lattice's do.
+        ids = list(range(n_flats))
+        covers = [(ids[lo], ids[hi]) for lo, hi in struct.iter_unpack("<II", payload[end:])]
     except (struct.error, IndexError):  # only a hand-made file with a valid digest gets here
         return None
     return IntersectionLattice(rs, levels, covers)
-
-
-def _cache_dir(arg: str | None) -> Path:
-    base = arg or os.environ.get("COXSTRATA_CACHE") or "./.coxstrata"
-    return Path(base)
-
-
-def _lattice_for(
-    rs: RootSystem, cache_dir: Path | None, allow_huge: bool
-) -> IntersectionLattice:
-    """The one way a command obtains a lattice: from the cache, else built and cached."""
-    path = None if cache_dir is None else cache_dir / f"{rs.ctype}.cxlt"
-    lat = None if path is None else load_lattice_cache(rs, path)
-    if lat is None:
-        lat = build_lattice(rs, max_flats=None if allow_huge else DEFAULT_FLAT_BUDGET)
-        if path is not None:
-            try:
-                cache_dir.mkdir(parents=True, exist_ok=True)
-                save_lattice_cache(lat, path)
-            except OSError as exc:
-                print(f"warning: lattice cache not written: {exc}", file=sys.stderr)
-    return lat
 
 
 # -- commands ----------------------------------------------------------------
@@ -203,8 +193,16 @@ def cmd_betti(args) -> int:
 
 def cmd_lattice(args) -> int:
     rs = build_root_system(_parse_type(args.type))
-    cache = _cache_dir(args.cache_dir) if not args.no_cache else None
-    lat = _lattice_for(rs, cache, args.allow_huge)
+    path = None if args.cache_dir is None else Path(args.cache_dir) / f"{rs.ctype}.cxlt"
+    lat = None if path is None else load_lattice_cache(rs, path)
+    if lat is None:
+        lat = build_lattice(rs, max_flats=None if args.allow_huge else DEFAULT_FLAT_BUDGET)
+        if path is not None:
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                save_lattice_cache(lat, path)
+            except OSError as exc:
+                print(f"warning: lattice cache not written: {exc}", file=sys.stderr)
     if args.export == "json":
         payload = {
             "type": str(rs.ctype),
@@ -278,7 +276,7 @@ def cmd_orbits(args) -> int:
 
 def cmd_cup(args) -> int:
     rs = build_root_system(_parse_type(args.type))
-    lat = _lattice_for(rs, _cache_dir(None), False)
+    lat = build_lattice(rs, max_flats=DEFAULT_FLAT_BUDGET)
     rows = []
     for atom in lat.atoms():
         for f in lat.flats:
@@ -385,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("type")
     p.add_argument("--export", choices=["json", "csv"])
     p.add_argument("--cache-dir")
-    p.add_argument("--no-cache", action="store_true")
     p.add_argument("--allow-huge", action="store_true")
     p.set_defaults(func=cmd_lattice)
 

@@ -65,7 +65,3 @@ class MagnitudeOverflow(CoxstrataError):
 
 class InvariantViolation(CoxstrataError):
     """An internal consistency check failed (a bug, not bad input)."""
-
-
-class InvalidSetting(CoxstrataError):
-    """An environment setting holds a value outside its allowed range."""

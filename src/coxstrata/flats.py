@@ -7,8 +7,7 @@ Every command that enumerates flats (`betti --method enum`, `lattice`,
 `cup`, `orbits`, `good`, `member`, `verify`) reads the W-orbit walk,
 `walk_level`, one rank at a time.  The closure sweep
 `enumerate_rank_counts` is the independent second route to the counts
-that `verify` checks the walk against, and the only user of
-COXSTRATA_THREADS.
+that `verify` checks the walk against; `verify` runs it in one process.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .betti import betti_row_closed_form
-from .errors import InvalidId, InvalidSetting, RankOutOfRange, ResourceLimit
+from .errors import InvalidId, RankOutOfRange, ResourceLimit
 from .linalg import integer_kernel
 from .rootsys import RootSystem, build_root_system, closure
 
@@ -206,9 +205,8 @@ def check_flat_budget(rs: RootSystem, max_flats: int | None) -> None:
         raise ResourceLimit(f"flat budget {max_flats} exceeded: {rs.ctype} has {total} flats")
 
 
-def _sweep(rs: RootSystem, workers: int | None) -> list[int]:
+def _sweep(rs: RootSystem, workers: int) -> list[int]:
     """Level BFS over all flats by _expand_flat; returns the rank counts."""
-    workers = _resolve_workers(workers)
     counts = [1]
     frontier = [0]
     pool: ProcessPoolExecutor | None = None
@@ -415,35 +413,16 @@ def enumerate_rank_counts(
     rs: RootSystem,
     *,
     max_flats: int | None = DEFAULT_FLAT_BUDGET,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[int]:
     """Per-rank flat counts by the closure sweep, with no W action.
 
     The second route to the counts, independent of the walk: `verify`
-    compares the two.  Memory stays per level; workers (default
-    COXSTRATA_THREADS, else 1) expand each level in a process pool.
+    compares the two.  Memory stays per level; with workers > 1 (clamped
+    to [1, os.cpu_count()]) a process pool expands each large level.
     """
     check_flat_budget(rs, max_flats)
-    return _sweep(rs, workers)
-
-
-def _resolve_workers(workers: int | None) -> int:
-    """Worker count: the argument, else COXSTRATA_THREADS, else 1.
-
-    The result is clamped to [1, os.cpu_count()]; a COXSTRATA_THREADS
-    value that is not an integer >= 1 raises InvalidSetting.
-    """
-    if workers is None:
-        env = os.environ.get("COXSTRATA_THREADS", "").strip()
-        if not env:
-            return 1
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise InvalidSetting(f"COXSTRATA_THREADS must be an integer >= 1, got {env!r}")
-    return max(1, min(workers, os.cpu_count() or 1))
+    return _sweep(rs, max(1, min(workers, os.cpu_count() or 1)))
 
 
 def brute_force_flats(rs: RootSystem, max_positive: int = 12) -> list[list[int]]:

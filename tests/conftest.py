@@ -10,12 +10,6 @@ from coxstrata import build_lattice, build_root_system
 PROPERTY_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
 
 
-@pytest.fixture(autouse=True)
-def _private_lattice_cache(tmp_path, monkeypatch):
-    """Each test gets its own empty lattice cache, never ./.coxstrata."""
-    monkeypatch.setenv("COXSTRATA_CACHE", str(tmp_path / "lattice-cache"))
-
-
 @pytest.fixture(scope="session")
 def lattice_of():
     """Session-wide cache of (root system, lattice) pairs by type string."""

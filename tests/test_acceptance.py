@@ -103,7 +103,7 @@ def test_criterion_2_exceptional_tables(lattice_of):
 )
 def test_criterion_2_extended_e8_row():
     rs = build_root_system("E8")
-    counts = enumerate_rank_counts(rs, max_flats=None, workers=None)
+    counts = enumerate_rank_counts(rs, max_flats=None)
     row = list(reversed(counts))
     _report(2, row == list(EXCEPTIONAL_ROWS["E8"]), f"E8 row {row}")
     sizes = [sum(rec.size for rec in recs) for recs in parabolic_summary(rs).per_rank]

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
 import subprocess
 import sys
@@ -152,7 +151,7 @@ def test_member_coordinate_order_matches_rootinfo(capsys):
 
 
 def test_lattice_json_schema(capsys):
-    assert main(["lattice", "A2", "--export", "json", "--no-cache"]) == 0
+    assert main(["lattice", "A2", "--export", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"type", "rank", "d", "flats", "covers"}
     assert len(payload["flats"]) == 5
@@ -164,10 +163,14 @@ def test_lattice_json_schema(capsys):
 
 
 def test_lattice_csv(capsys):
-    assert main(["lattice", "B2", "--export", "csv", "--no-cache"]) == 0
+    assert main(["lattice", "B2", "--export", "csv"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("id,rank,cartan_type")
     assert len(lines) == 1 + 6
+
+
+def _refuse_to_build(*args, **kwargs):
+    raise RuntimeError("build_lattice called")
 
 
 def test_cache_round_trip(tmp_path):
@@ -190,13 +193,47 @@ def test_cache_round_trip(tmp_path):
     assert load_lattice_cache(rs, path) is None
 
 
-def test_lattice_command_uses_cache(tmp_path, capsys):
+# SHA-256 of the version-2 cache files written before the writer streamed its parts.
+CACHE_FILE_SHA256 = {
+    "B3": "aa17da3c5e893c9a0c5e5f8128fc63859a142b402b0064bd069e574e18beb6c6",
+    "B5": "806511d9c7f039bcd5cf0cb0e10467f6bb6a9ee86bdbf7ce1d02d9fe18ffbc82",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHE_FILE_SHA256))
+def test_cache_file_bytes_are_pinned(name, tmp_path):
+    path = tmp_path / f"{name}.cxlt"
+    save_lattice_cache(build_lattice(build_root_system(name)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_FILE_SHA256[name]
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_lattice_command_uses_cache(tmp_path, monkeypatch, capsys):
+    # Cold, then warm with building refused: the cache alone answers.
     args = ["lattice", "A3", "--cache-dir", str(tmp_path)]
     assert main(args) == 0
     first = capsys.readouterr().out
-    assert (tmp_path / "A3.cxlt").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["A3.cxlt"]
+    monkeypatch.setattr("coxstrata.cli.build_lattice", _refuse_to_build)
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize(
+    "argv", [["cup", "A3"], ["lattice", "A3"], ["lattice", "A3", "--export", "csv"]], ids=" ".join
+)
+def test_lattice_commands_answer_the_same_cold_and_warm(argv, tmp_path, monkeypatch, capsys):
+    # Without --cache-dir a repeat run rebuilds the same answer, and no run
+    # reads, writes or leaves a cache file.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("coxstrata.cli.load_lattice_cache", _refuse_to_build)
+    monkeypatch.setattr("coxstrata.cli.save_lattice_cache", _refuse_to_build)
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    assert cold
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold
+    assert not any(tmp_path.iterdir())
 
 
 def test_good_and_orbits_and_cup(capsys):
@@ -244,7 +281,7 @@ def _over_budget(*args, **kwargs):
     "argv, hint",
     [
         (["betti", "A3", "--method", "enum"], True),
-        (["lattice", "A3", "--no-cache"], True),
+        (["lattice", "A3"], True),
         (["member", "A3", "--point", "1,2,3,4,5,6"], False),
         (["good", "A3"], False),
         (["orbits", "A3"], False),
@@ -359,22 +396,17 @@ def test_verify_allow_huge_lifts_the_lattice_budget(monkeypatch):
     assert budgets == [None]
 
 
-def test_outputs_byte_identical_across_runs_and_threads(tmp_path):
-    import os
-
-    env1 = dict(os.environ, COXSTRATA_THREADS="1", COXSTRATA_CACHE=str(tmp_path / "c1"))
-    env2 = dict(os.environ, COXSTRATA_THREADS="2", COXSTRATA_CACHE=str(tmp_path / "c2"))
+def test_outputs_byte_identical_across_runs():
     for args in (
         ["rootinfo", "B3", "--json"],
         ["betti", "D5"],
-        ["lattice", "A4", "--export", "json", "--no-cache"],
+        ["lattice", "A4", "--export", "json"],
         ["orbits", "B3"],
     ):
-        a = run_cli(*args, env=env1)
-        b = run_cli(*args, env=env1)
-        c = run_cli(*args, env=env2)
-        assert a.returncode == b.returncode == c.returncode == 0, args
-        assert a.stdout == b.stdout == c.stdout, args
+        a = run_cli(*args)
+        b = run_cli(*args)
+        assert a.returncode == b.returncode == 0, args
+        assert a.stdout == b.stdout, args
 
 
 def test_usage_errors_exit_2():
@@ -383,31 +415,6 @@ def test_usage_errors_exit_2():
     result = run_cli("nonsense")
     assert result.returncode == 2
     assert main(["cup", "A2", "--table"]) == 2
-
-
-# -- the one lattice path and its cache ---------------------------------------
-
-LATTICE_COMMANDS = [
-    ["cup", "A3"],
-]
-
-
-def _refuse_to_build(*args, **kwargs):
-    raise RuntimeError("build_lattice called")
-
-
-def _cache_file(argv) -> Path:
-    return Path(os.environ["COXSTRATA_CACHE"]) / f"{argv[1]}.cxlt"
-
-
-@pytest.mark.parametrize("argv", LATTICE_COMMANDS, ids=" ".join)
-def test_lattice_commands_answer_the_same_cold_and_warm(argv, monkeypatch, capsys):
-    assert main(argv) == 0
-    cold = capsys.readouterr().out
-    assert _cache_file(argv).exists()
-    monkeypatch.setattr("coxstrata.cli.build_lattice", _refuse_to_build)
-    assert main(argv) == 0
-    assert capsys.readouterr().out == cold
 
 
 ORBITS_OUTPUT = {
@@ -440,13 +447,14 @@ type F4: |W| = 1152, 12 classes
 
 
 @pytest.mark.parametrize("name", sorted(ORBITS_OUTPUT))
-def test_orbits_builds_loads_and_saves_no_lattice(name, monkeypatch, capsys):
+def test_orbits_builds_loads_and_saves_no_lattice(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("coxstrata.cli.build_lattice", _refuse_to_build)
     monkeypatch.setattr("coxstrata.cli.load_lattice_cache", _refuse_to_build)
     monkeypatch.setattr("coxstrata.cli.save_lattice_cache", _refuse_to_build)
     assert main(["orbits", name]) == 0
     assert capsys.readouterr().out == ORBITS_OUTPUT[name]
-    assert not Path(os.environ["COXSTRATA_CACHE"]).exists()
+    assert not any(tmp_path.iterdir())
 
 
 # Outputs recorded from the lattice-based commands, before `good` and `member`
@@ -498,13 +506,14 @@ flat 13: A2 positives [0, 4, 5]  param [(1, 2), (3, 3)]
 
 
 @pytest.mark.parametrize("command", sorted(WALK_COMMAND_OUTPUT))
-def test_member_and_good_build_load_and_save_no_lattice(command, monkeypatch, capsys):
+def test_member_and_good_build_load_and_save_no_lattice(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("coxstrata.cli.build_lattice", _refuse_to_build)
     monkeypatch.setattr("coxstrata.cli.load_lattice_cache", _refuse_to_build)
     monkeypatch.setattr("coxstrata.cli.save_lattice_cache", _refuse_to_build)
     assert main(command.split()) == 0
     assert capsys.readouterr().out == WALK_COMMAND_OUTPUT[command]
-    assert not Path(os.environ["COXSTRATA_CACHE"]).exists()
+    assert not any(tmp_path.iterdir())
 
 
 def test_member_mask_missing_from_its_level_is_an_invariant_violation(monkeypatch, capsys):
@@ -547,11 +556,12 @@ def test_over_budget_e8_is_refused_before_any_enumeration(argv, monkeypatch, cap
     assert err.startswith("error: flat budget 120000 exceeded: E8 has 5506504 flats")
 
 
-def test_good_bds_builds_no_lattice(monkeypatch, capsys):
+def test_good_bds_builds_no_lattice(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("coxstrata.cli.build_lattice", _refuse_to_build)
     assert main(["good", "B3", "--bds"]) == 0
     assert "nodes" in capsys.readouterr().out
-    assert not Path(os.environ["COXSTRATA_CACHE"]).exists()
+    assert not any(tmp_path.iterdir())
 
 
 def _save_version_1_cache(lat, path):
@@ -568,8 +578,8 @@ def _save_version_1_cache(lat, path):
 
 
 def test_corrupt_or_old_cache_is_rebuilt(tmp_path, capsys):
-    argv = ["cup", "B3"]
-    rs, path = build_root_system("B3"), _cache_file(argv)
+    argv = ["lattice", "B3", "--export", "json", "--cache-dir", str(tmp_path / "cache")]
+    rs, path = build_root_system("B3"), tmp_path / "cache" / "B3.cxlt"
     assert main(argv) == 0
     expected = capsys.readouterr().out
     good = path.read_bytes()
@@ -592,15 +602,13 @@ def test_corrupt_or_old_cache_is_rebuilt(tmp_path, capsys):
     assert path.read_bytes() == good
 
 
-def test_unwritable_cache_still_answers(tmp_path, monkeypatch, capsys):
+def test_unwritable_cache_still_answers(tmp_path, capsys):
     blocker = tmp_path / "a-regular-file"
     blocker.write_text("")
-    for argv in LATTICE_COMMANDS + [["lattice", "A3", "--export", "csv"]]:
+    for argv in (["lattice", "A3"], ["lattice", "A3", "--export", "csv"]):
         assert main(argv) == 0
         expected = capsys.readouterr().out
-        monkeypatch.setenv("COXSTRATA_CACHE", str(blocker / "cache"))
-        assert main(argv) == 0
+        assert main([*argv, "--cache-dir", str(blocker / "cache")]) == 0
         captured = capsys.readouterr()
         assert captured.out == expected
         assert "lattice cache not written" in captured.err
-        monkeypatch.setenv("COXSTRATA_CACHE", str(tmp_path / "cache"))

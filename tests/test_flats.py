@@ -13,14 +13,12 @@ import coxstrata
 from coxstrata.betti import betti_row_closed_form
 from coxstrata.errors import (
     InvalidId,
-    InvalidSetting,
     MagnitudeOverflow,
     RankOutOfRange,
     ResourceLimit,
 )
 from coxstrata.flats import (
     _expand_flat,
-    _resolve_workers,
     brute_force_flats,
     build_lattice,
     char_poly,
@@ -370,23 +368,36 @@ def test_magnitude_guard_survives_python_O():
     assert out.stdout.strip() == "raised"
 
 
-def test_resolve_workers_clamps_and_validates(monkeypatch):
+def test_enumerate_rank_counts_clamps_workers(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self):
+            pass
+
+    # B5's largest level (330 flats) engages a pool of up to 5 workers.
+    rs = build_root_system("B5")
+    row = walk_rank_counts(rs)
+    monkeypatch.setattr("coxstrata.flats.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("coxstrata.flats._WORKER_RS", None)
     monkeypatch.setattr("os.cpu_count", lambda: 4)
-    monkeypatch.delenv("COXSTRATA_THREADS", raising=False)
-    assert _resolve_workers(None) == 1
-    assert _resolve_workers(3) == 3
-    assert _resolve_workers(64) == 4
-    assert _resolve_workers(0) == 1
-    for env, expected in [("2", 2), ("4", 4), ("1000000", 4), (" 3 ", 3)]:
-        monkeypatch.setenv("COXSTRATA_THREADS", env)
-        assert _resolve_workers(None) == expected
-    for bad in ["0", "-2", "two", "1.5"]:
-        monkeypatch.setenv("COXSTRATA_THREADS", bad)
-        with pytest.raises(InvalidSetting, match="COXSTRATA_THREADS"):
-            _resolve_workers(None)
+    for workers, pool in [(0, []), (1, []), (3, [3]), (64, [4])]:
+        sizes.clear()
+        assert enumerate_rank_counts(rs, workers=workers) == row, workers
+        assert sizes == pool, workers
     monkeypatch.setattr("os.cpu_count", lambda: None)
-    monkeypatch.setenv("COXSTRATA_THREADS", "8")
-    assert _resolve_workers(None) == 1
+    sizes.clear()
+    assert enumerate_rank_counts(rs, workers=8) == row
+    assert sizes == []
 
 
 def exponents(family: str, n: int) -> list[int]:

@@ -37,3 +37,20 @@ def test_no_safety_check_relies_on_assert():
                 offending.append(f"{path.name}:{node.lineno}: assert {ast.unparse(node.test)}")
     assert offending == []
     assert narrowings == 1
+
+
+def test_no_module_reads_the_environment():
+    # The arguments are the package's only configuration.
+    names = {"environ", "environb", "getenv"}
+    offending = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                hit = isinstance(node.value, ast.Name) and node.value.id == "os" and node.attr in names
+            elif isinstance(node, ast.ImportFrom):
+                hit = node.module == "os" and any(a.name in names for a in node.names)
+            else:
+                hit = False
+            if hit:
+                offending.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert offending == []
