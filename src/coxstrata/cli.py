@@ -5,6 +5,10 @@ budget; every budget is checked before any enumeration.  Every command
 that enumerates flats (`betti --method enum`, `lattice`, `cup`, `orbits`,
 `good`, `member`, `verify`) uses the W-orbit walk of flats.py; `verify`
 also counts the flats by the closure sweep, its independent second route.
+`cup` reads its table off the lattice's covers, and `lattice --export`
+gives each flat the Cartan type of its W-orbit, classified once per orbit;
+`cohomology.cup` and `flats.join` stay the library API and the route by
+which `verify` checks the ring axioms.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or I/O error.
 The arguments are the only configuration: no environment variable is
@@ -23,15 +27,17 @@ import struct
 import sys
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from . import betti
-from .cohomology import GradedClass, cup
 from .errors import CoxstrataError, InvalidRank, InvariantViolation, NotClassical, ResourceLimit
 from .flats import (
     DEFAULT_FLAT_BUDGET,
+    Flat,
     IntersectionLattice,
     build_lattice,
     check_flat_budget,
@@ -41,7 +47,7 @@ from .flats import (
 from .goodsub import bds_candidates, param_F
 from .rootsys import CartanType, RootSystem, build_root_system, classify_subsystem
 from .strata import ExtendedPoint, Rejection, _stratum
-from .weyl import parabolic_summary
+from .weyl import flat_types, parabolic_summary
 
 CACHE_MAGIC = b"CXLT"
 CACHE_VERSION = 2
@@ -116,6 +122,43 @@ def load_lattice_cache(rs: RootSystem, path: Path) -> IntersectionLattice | None
     except (struct.error, IndexError):  # only a hand-made file with a valid digest gets here
         return None
     return IntersectionLattice(rs, levels, covers)
+
+
+# -- streamed JSON ------------------------------------------------------------
+#
+# The writers below give the bytes of print(json.dumps(payload, indent=2,
+# sort_keys=True)) one item at a time, so no payload or string of it is held.
+
+
+def _write_json_list(out, items: Iterator[str]) -> None:
+    """Write a nonempty list that is a value of the top-level object; each
+    item comes rendered at an indent of four spaces.  Items go out 4,096
+    to a write."""
+    sep = "[\n"
+    for chunk in iter(lambda: list(islice(items, 4096)), []):
+        out.write(sep + ",\n".join(chunk))
+        sep = ",\n"
+    out.write("\n  ]")
+
+
+def _write_lattice_json(lat: IntersectionLattice, out) -> None:
+    """The flats and covers; each flat's type comes from its W-orbit's."""
+    rs = lat.rs
+
+    def flat_json(f: Flat, ctype: CartanType) -> str:
+        roots = ",\n        ".join(map(str, rs.positions(f.mask)))
+        roots = f"[\n        {roots}\n      ]" if roots else "[]"
+        return (
+            f'    {{\n      "cartan_type": {json.dumps(str(ctype))},\n      "id": {f.id},\n'
+            f'      "positive_roots": {roots},\n      "rank": {f.rank}\n    }}'
+        )
+
+    out.write('{\n  "covers": ')
+    _write_json_list(out, map("    [\n      %d,\n      %d\n    ]".__mod__, lat.covers))
+    out.write(f',\n  "d": {rs.d},\n  "flats": ')
+    flats = zip(lat.flats, flat_types(rs), strict=True)
+    _write_json_list(out, (flat_json(f, ctype) for f, ctype in flats))
+    out.write(f',\n  "rank": {rs.rank},\n  "type": {json.dumps(str(rs.ctype))}\n}}\n')
 
 
 # -- commands ----------------------------------------------------------------
@@ -204,34 +247,12 @@ def cmd_lattice(args) -> int:
             except OSError as exc:
                 print(f"warning: lattice cache not written: {exc}", file=sys.stderr)
     if args.export == "json":
-        payload = {
-            "type": str(rs.ctype),
-            "rank": rs.rank,
-            "d": rs.d,
-            "flats": [
-                {
-                    "id": f.id,
-                    "rank": f.rank,
-                    "positive_roots": rs.positions(f.mask),
-                    "cartan_type": str(classify_subsystem(rs, f.mask)),
-                }
-                for f in lat.flats
-            ],
-            "covers": [[lo, hi] for lo, hi in lat.covers],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _write_lattice_json(lat, sys.stdout)
     elif args.export == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["id", "rank", "cartan_type", "positive_roots"])
-        for f in lat.flats:
-            writer.writerow(
-                [
-                    f.id,
-                    f.rank,
-                    str(classify_subsystem(rs, f.mask)),
-                    " ".join(str(p) for p in rs.positions(f.mask)),
-                ]
-            )
+        for f, ctype in zip(lat.flats, flat_types(rs), strict=True):
+            writer.writerow([f.id, f.rank, str(ctype), " ".join(map(str, rs.positions(f.mask)))])
     else:
         print(f"type {rs.ctype}: {len(lat.flats)} flats, {len(lat.covers)} covers")
         print("counts by codimension:", " ".join(str(x) for x in lat.betti_row()))
@@ -274,33 +295,42 @@ def cmd_orbits(args) -> int:
     return 0
 
 
+def _cup_table(lat: IntersectionLattice) -> dict[int, list[int | None]]:
+    """Row atom, column X: the flat of xi_atom * xi_X, or None for 0.
+
+    The product is 0 for an atom inside X; otherwise it is the one cover
+    of X that contains the atom.  A rank-1 flat is one positive root, so
+    each new position of a cover names its atom.
+    """
+    table = {atom: [None] * len(lat.flats) for atom in lat.atoms()}
+    for lo, hi in lat.covers:
+        new = lat.flats[hi].mask & ~lat.flats[lo].mask
+        while new:
+            bit = new & -new
+            table[lat.id_of[bit]][lo] = hi
+            new ^= bit
+    return table
+
+
 def cmd_cup(args) -> int:
     rs = build_root_system(_parse_type(args.type))
-    lat = build_lattice(rs, max_flats=DEFAULT_FLAT_BUDGET)
-    rows = []
-    for atom in lat.atoms():
-        for f in lat.flats:
-            product = cup(GradedClass.basis(lat, atom), GradedClass.basis(lat, f.id))
-            target = next(iter(product.coefficients), None)
-            rows.append((atom, f.id, target))
+    table = _cup_table(build_lattice(rs, max_flats=DEFAULT_FLAT_BUDGET))
+    out = sys.stdout
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "type": str(rs.ctype),
-                    "products": [
-                        {"atom": a, "flat": b, "result": t} for a, b, t in rows
-                    ],
-                },
-                indent=2,
-                sort_keys=True,
-            )
+        products = (
+            f'    {{\n      "atom": {atom},\n      "flat": {fid},\n'
+            f'      "result": {"null" if t is None else t}\n    }}'
+            for atom, row in table.items()
+            for fid, t in enumerate(row)
         )
+        out.write('{\n  "products": ')
+        _write_json_list(out, products)
+        out.write(f',\n  "type": {json.dumps(str(rs.ctype))}\n}}\n')
     else:
-        print("| atom | flat | product |")
-        print("| --- | --- | --- |")
-        for a, b, t in rows:
-            print(f"| {a} | {b} | {'0' if t is None else t} |")
+        out.write("| atom | flat | product |\n| --- | --- | --- |\n")
+        for atom, row in table.items():
+            cells = ("0" if t is None else t for t in row)
+            out.write("".join(f"| {atom} | {fid} | {t} |\n" for fid, t in enumerate(cells)))
     return 0
 
 

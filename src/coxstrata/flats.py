@@ -310,15 +310,28 @@ def _orbit(rs: RootSystem, gather: np.ndarray, start: np.ndarray) -> np.ndarray:
     return np.concatenate(layers)
 
 
-def walk_level(rs: RootSystem, k: int) -> tuple[int, np.ndarray, list[tuple[int, int, int]]]:
-    """Rank k of the walk: the id of its first flat, its sorted keys, and
-    the sorted (place, size, mask) of each W-orbit's least flat.
+def parabolic_flat(rs: RootSystem, simple_set: int) -> int:
+    """closure(J) for the simple roots J whose ordinals are the set bits.
+
+    The simple roots are a basis, so closure(J) is exactly the positives
+    whose simple-root support lies in J: no solve is needed.
+    """
+    return sum(1 << p for p, support in enumerate(rs.simple_supports) if not support & ~simple_set)
+
+
+def walk_level(
+    rs: RootSystem, k: int
+) -> tuple[int, np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
+    """Rank k of the walk: the id of its first flat, its sorted keys, each
+    place's W-orbit label, and the sorted (place, size, mask) of each
+    W-orbit's least flat; label i names the i-th of these orbits.
 
     A flat's id is the first id plus its place; the first id is the
     closed-form count of the flats of lower rank.
     """
     gather = _gather(rs)
-    todo = _keys(rs, sorted({closure(rs, J) for J in combinations(rs.simples, k)}))
+    starts = {parabolic_flat(rs, sum(1 << j for j in J)) for J in combinations(range(rs.rank), k)}
+    todo = _keys(rs, sorted(starts))
     orbits = []
     while len(todo):
         orbits.append(_orbit(rs, gather, todo[:1]))
@@ -327,15 +340,18 @@ def walk_level(rs: RootSystem, k: int) -> tuple[int, np.ndarray, list[tuple[int,
     order = _order(walk)
     label = np.repeat(np.arange(len(orbits)), [len(o) for o in orbits])[order]
     _, least, size = np.unique(label, return_index=True, return_counts=True)
+    # Number the orbits by their least place, the order they are returned in.
+    by_least = np.argsort(least)
+    least, size, label = least[by_least], size[by_least], np.argsort(by_least)[label]
     keys = walk[order]
     first = sum(list(reversed(betti_row_closed_form(rs.ctype)))[:k])
     # Only the least flats become ints: E8's whole rank 2 would take 360 MB.
-    return first, keys, sorted(zip(least.tolist(), size.tolist(), _masks(keys[least])))
+    return first, keys, label, list(zip(least.tolist(), size.tolist(), _masks(keys[least])))
 
 
 def flat_level(rs: RootSystem, k: int) -> tuple[int, list[int]]:
     """The id of the first rank-k flat and the sorted rank-k masks."""
-    first, keys, _ = walk_level(rs, k)
+    first, keys, _, _ = walk_level(rs, k)
     return first, _masks(keys)
 
 
@@ -395,13 +411,13 @@ def build_lattice(
     """
     check_flat_budget(rs, max_flats)
     walks = [walk_level(rs, k) for k in range(rs.rank + 1)]
-    levels = [_masks(keys) for _, keys, _ in walks]
-    moves = [_moves(rs, keys) for _, keys, _ in walks]
+    levels = [_masks(keys) for _, keys, _, _ in walks]
+    moves = [_moves(rs, keys) for _, keys, _, _ in walks]
     # Covers share one int object per id; 892,102 E7 covers would not.
     ids = list(range(sum(map(len, levels))))
     covers: list[tuple[int, int]] = []
     for k in range(rs.rank):
-        (first, _, orbits), upper = walks[k], walks[k + 1][0]
+        (first, _, _, orbits), upper = walks[k], walks[k + 1][0]
         lo, hi = _cover_places(rs, orbits, levels[k + 1], *moves[k : k + 2])
         order = np.lexsort((hi, lo))
         lo_ids = map(ids.__getitem__, (first + lo[order]).tolist())

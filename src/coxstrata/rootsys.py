@@ -10,7 +10,7 @@ closed under negation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -189,6 +189,11 @@ class RootSystem:
         if len(self.positives) != self.d:
             raise InvariantViolation("roots do not split into positives and negatives")
         self.pos_of = {idx: p for p, idx in enumerate(self.positives)}
+        # Bit j of a positive position's entry: the root uses simple root j.
+        self.simple_supports = [
+            sum(1 << j for j, c in enumerate(self.simple_coefficients[i]) if c)
+            for i in self.positives
+        ]
         self.simples = [self.index[v] for v in simple_coords]
         self.highest = max(range(2 * self.d), key=lambda i: self.heights[i])
 
@@ -237,7 +242,12 @@ class RootSystem:
         return sorted(pos + [self.neg[i] for i in pos])
 
     def positions(self, mask: int) -> list[int]:
-        return [p for p in range(self.d) if mask >> p & 1]
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
 
     def reflection_perm(self, mirror: int) -> list[int]:
         """Permutation i -> index of the mirror-reflection of root i."""
@@ -267,6 +277,24 @@ class RootSystem:
             out |= 1 << perm[p]
             mask &= mask - 1
         return out
+
+    @cached_property
+    def pair_sums(self) -> list[list[int]]:
+        """Entry [p][q]: the mask of the roots among alpha_p + alpha_q and
+        alpha_p - alpha_q, for positive positions p and q."""
+        pos = [self.roots[i] for i in self.positives]
+        table = []
+        for u in pos:
+            row = []
+            for v in pos:
+                mask = 0
+                for w in (tuple(a + b for a, b in zip(u, v)), tuple(a - b for a, b in zip(u, v))):
+                    idx = self.index.get(w)
+                    if idx is not None:  # positives hold the upper indices
+                        mask |= 1 << self.pos_of[max(idx, self.neg[idx])]
+                row.append(mask)
+            table.append(row)
+        return table
 
     def _kernel_images(self, kernel: Sequence[Sequence[int]]) -> np.ndarray:
         """Positive roots times the kernel vectors: a d x len(kernel) int64 array.
@@ -314,14 +342,18 @@ def closure(rs: RootSystem, subset: int | Iterable[int]) -> int:
 
 
 def is_closed(rs: RootSystem, subset: int | Iterable[int]) -> bool:
-    """Additive closedness of a negation-closed root subset."""
+    """Additive closedness of a negation-closed root subset.
+
+    The sums of its roots that can be roots are +-(alpha_p +- alpha_q)
+    over pairs of its positives (2 alpha and 0 never are), so it is closed
+    iff the roots among those lie in it.
+    """
     mask = rs.as_mask(subset)
-    indices = rs.root_indices(mask)
-    members = {rs.roots[i] for i in indices}
-    for u in members:
-        for v in members:
-            s = tuple(a + b for a, b in zip(u, v))
-            if s in rs.index and s not in members:
+    positions = rs.positions(mask)
+    for i, p in enumerate(positions):
+        row = rs.pair_sums[p]
+        for q in positions[i + 1 :]:
+            if row[q] & ~mask:
                 return False
     return True
 

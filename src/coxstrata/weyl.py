@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import InvariantViolation, MalformedWord
 from .flats import IntersectionLattice, walk_level
@@ -83,17 +85,34 @@ class OrbitSummary:
         return sum(len(rows) for rows in self.per_rank)
 
 
+def orbit_levels(
+    rs: RootSystem,
+) -> Iterator[tuple[int, np.ndarray, list[tuple[int, int, int]], list[CartanType]]]:
+    """For k = 0..r: walk_level's first id, place labels and orbits, and
+    each orbit's Cartan type.  W permutes the roots, so a flat's type is
+    constant on its orbit: each orbit is classified once, at its least flat.
+    """
+    for k in range(rs.rank + 1):
+        first, _, label, orbits = walk_level(rs, k)
+        yield first, label, orbits, [classify_subsystem(rs, mask) for _, _, mask in orbits]
+
+
+def flat_types(rs: RootSystem) -> Iterator[CartanType]:
+    """The Cartan type of every flat, in id order."""
+    for _, label, _, types in orbit_levels(rs):
+        yield from map(types.__getitem__, label.tolist())
+
+
 def parabolic_summary(rs: RootSystem) -> OrbitSummary:
     """One record per W-orbit of flats; a representative is its orbit's least mask."""
     w = weyl_order(rs.ctype)
     per_rank = []
-    for k in range(rs.rank + 1):
-        first, _, orbits = walk_level(rs, k)
+    for first, _, orbits, types in orbit_levels(rs):
         records = []
-        for place, size, rep in orbits:
+        for (place, size, _), ctype in zip(orbits, types):
             if w % size:
                 raise InvariantViolation("orbit size must divide the group order")
-            records.append(OrbitRecord(first + place, size, w // size, classify_subsystem(rs, rep)))
+            records.append(OrbitRecord(first + place, size, w // size, ctype))
         per_rank.append(tuple(records))
     return OrbitSummary(tuple(per_rank), w)
 

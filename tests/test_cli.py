@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import struct
 import subprocess
@@ -11,10 +13,11 @@ import pytest
 
 from coxstrata import cli
 from coxstrata.betti import EXCEPTIONAL_ROWS, betti_row_closed_form
-from coxstrata.cli import load_lattice_cache, main, save_lattice_cache
+from coxstrata.cli import _cup_table, load_lattice_cache, main, save_lattice_cache
+from coxstrata.cohomology import GradedClass, cup
 from coxstrata.errors import ResourceLimit
 from coxstrata.flats import build_lattice
-from coxstrata.rootsys import build_root_system
+from coxstrata.rootsys import build_root_system, classify_subsystem
 
 
 def run_cli(*args, env=None):
@@ -234,6 +237,56 @@ def test_lattice_commands_answer_the_same_cold_and_warm(argv, tmp_path, monkeypa
     assert main(argv) == 0
     assert capsys.readouterr().out == cold
     assert not any(tmp_path.iterdir())
+
+
+def _export_reference(name):
+    """The export by per-flat classification and the json/csv encoders."""
+    rs = build_root_system(name)
+    lat = build_lattice(rs)
+    types = [str(classify_subsystem(rs, f.mask)) for f in lat.flats]
+    payload = {
+        "type": name,
+        "rank": rs.rank,
+        "d": rs.d,
+        "flats": [
+            {"id": f.id, "rank": f.rank, "positive_roots": rs.positions(f.mask), "cartan_type": t}
+            for f, t in zip(lat.flats, types)
+        ],
+        "covers": [[lo, hi] for lo, hi in lat.covers],
+    }
+    rows = io.StringIO()
+    writer = csv.writer(rows)
+    writer.writerow(["id", "rank", "cartan_type", "positive_roots"])
+    for f, t in zip(lat.flats, types):
+        writer.writerow([f.id, f.rank, t, " ".join(str(p) for p in rs.positions(f.mask))])
+    return {"json": json.dumps(payload, indent=2, sort_keys=True) + "\n", "csv": rows.getvalue()}
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "D4", "G2", "F4"])
+def test_export_equals_per_flat_classification_cold_and_warm(name, tmp_path, monkeypatch, capsys):
+    expected = _export_reference(name)
+    for fmt in ("json", "csv"):
+        argv = ["lattice", name, "--export", fmt, "--cache-dir", str(tmp_path / fmt)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected[fmt], (fmt, "cold")
+    monkeypatch.setattr("coxstrata.cli.build_lattice", _refuse_to_build)
+    for fmt in ("json", "csv"):
+        assert main(["lattice", name, "--export", fmt, "--cache-dir", str(tmp_path / fmt)]) == 0
+        assert capsys.readouterr().out == expected[fmt], (fmt, "warm")
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "D5", "G2", "F4"]
+)
+def test_cup_table_from_covers_equals_cup_of_basis_classes(name, lattice_of):
+    rs, lat = lattice_of(name)
+    table = _cup_table(lat)
+    assert list(table) == lat.atoms()
+    for atom, row in table.items():
+        assert len(row) == len(lat.flats)
+        for fid, target in enumerate(row):
+            expected = GradedClass.zero(lat) if target is None else GradedClass.basis(lat, target)
+            assert cup(GradedClass.basis(lat, atom), GradedClass.basis(lat, fid)) == expected
 
 
 def test_good_and_orbits_and_cup(capsys):

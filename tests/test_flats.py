@@ -27,11 +27,12 @@ from coxstrata.flats import (
     join,
     leq,
     mobius_table,
+    parabolic_flat,
     walk_rank_counts,
     whitney_first,
     whitney_second,
 )
-from coxstrata.rootsys import build_root_system, classify_subsystem
+from coxstrata.rootsys import build_root_system, classify_subsystem, closure
 
 # Stratum counts by codimension, as published for small ranks.
 KNOWN_ROWS = {
@@ -430,3 +431,18 @@ def test_mobius_is_product_over_classified_factors(name, lattice_of):
             for e in exponents(family, n):
                 expected *= -e
         assert mu[f.id] == expected, (name, f.id)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"A{r}" for r in range(1, 9)]
+    + [f"B{r}" for r in range(2, 9)]
+    + [f"C{r}" for r in range(2, 9)]
+    + [f"D{r}" for r in range(3, 9)]
+    + ["G2", "F4", "E6", "E7", "E8"],
+)
+def test_parabolic_flat_is_the_closure_of_its_simple_roots(name):
+    rs = build_root_system(name)
+    for simple_set in range(1 << rs.rank):
+        J = [s for j, s in enumerate(rs.simples) if simple_set >> j & 1]
+        assert parabolic_flat(rs, simple_set) == closure(rs, J), J

@@ -213,6 +213,27 @@ def test_is_closed_examples():
     assert is_closed(b2, long_roots)
 
 
+def _is_closed_by_tuple_sums(rs, mask):
+    """Reference: the sum of every pair of member roots, as coordinate tuples."""
+    members = {rs.roots[i] for i in rs.root_indices(mask)}
+    for u in members:
+        for v in members:
+            s = tuple(a + b for a, b in zip(u, v))
+            if s in rs.index and s not in members:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4"])
+def test_is_closed_agrees_with_tuple_sums_on_every_subset(name):
+    rs = build_root_system(name)
+    for mask in range(1 << rs.d):
+        expected = _is_closed_by_tuple_sums(rs, mask)
+        assert is_closed(rs, mask) == expected, mask
+        assert is_closed(rs, rs.root_indices(mask)) == expected, mask
+        assert is_closed(rs, [rs.neg[i] for i in rs.positive_indices(mask)]) == expected, mask
+
+
 def test_subsystem_rank_examples():
     rs = build_root_system("A3")
     assert subsystem_rank(rs, 0) == 0

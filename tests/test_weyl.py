@@ -16,6 +16,8 @@ from coxstrata.strata import ExtendedPoint
 from coxstrata.weyl import (
     OrbitRecord,
     _orbit_masks,
+    flat_types,
+    orbit_levels,
     orbit_of_flat,
     parabolic_summary,
     weyl_act_point,
@@ -155,6 +157,20 @@ def test_parabolic_summary_equals_partition_of_lattice_levels(name, lattice_of):
         offset, masks = flat_level(rs, k)
         assert ids == list(range(offset, offset + len(masks)))
         assert masks == [lat.flat(fid).mask for fid in ids]
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "C4", "D5", "G2", "F4", "E6"])
+def test_orbit_labels_partition_each_level_into_w_orbits(name, lattice_of):
+    rs, lat = lattice_of(name)
+    for first, label, orbits, types in orbit_levels(rs):
+        labels = label.tolist()
+        for i, (place, size, mask) in enumerate(orbits):
+            orbit = orbit_of_flat(rs, lat, first + place)
+            assert lat.flat(first + place).mask == mask
+            assert {first + q for q, lab in enumerate(labels) if lab == i} == orbit
+            assert len(orbit) == size
+            assert types[i] == classify_subsystem(rs, mask)
+    assert list(flat_types(rs)) == [classify_subsystem(rs, f.mask) for f in lat.flats]
 
 
 @pytest.mark.parametrize("name", ["E8", "B9"])
