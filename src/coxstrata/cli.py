@@ -5,8 +5,9 @@ budget; every budget is checked before any enumeration.  Every command
 that enumerates flats (`betti --method enum`, `lattice`, `cup`, `orbits`,
 `good`, `member`, `verify`) uses the W-orbit walk of flats.py; `verify`
 also counts the flats by the closure sweep, its independent second route.
-`cup` reads its table off the lattice's covers, and `lattice --export`
-gives each flat the Cartan type of its W-orbit, classified once per orbit;
+`cup` reads its table off the lattice's covers; `lattice --export` and
+`good` give each flat the Cartan type of its W-orbit, classified once per
+orbit through the walk's orbit labels (`weyl.typed_level`);
 `cohomology.cup` and `flats.join` stay the library API and the route by
 which `verify` checks the ring axioms.
 
@@ -42,12 +43,13 @@ from .flats import (
     build_lattice,
     check_flat_budget,
     flat_level,
+    key_masks,
     walk_rank_counts,
 )
 from .goodsub import bds_candidates, param_F
 from .rootsys import CartanType, RootSystem, build_root_system, classify_subsystem
 from .strata import ExtendedPoint, Rejection, _stratum
-from .weyl import flat_types, parabolic_summary
+from .weyl import flat_types, parabolic_summary, typed_level
 
 CACHE_MAGIC = b"CXLT"
 CACHE_VERSION = 2
@@ -271,9 +273,9 @@ def cmd_good(args) -> int:
     if args.classical_param and rs.ctype.factors[0][0] not in "ABCD":
         raise NotClassical(f"{rs.ctype} is not classical")
     check_flat_budget(rs, DEFAULT_FLAT_BUDGET)
-    offset, level = flat_level(rs, rs.rank - 1)
-    for fid, mask in enumerate(level, offset):
-        line = f"flat {fid}: {classify_subsystem(rs, mask)} positives {rs.positions(mask)}"
+    first, keys, label, _, types = typed_level(rs, rs.rank - 1)
+    for fid, (mask, lab) in enumerate(zip(key_masks(keys), label.tolist()), first):
+        line = f"flat {fid}: {types[lab]} positives {rs.positions(mask)}"
         if args.classical_param:
             line += f"  param {sorted(param_F(rs, mask))}"
         print(line)

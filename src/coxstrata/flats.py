@@ -16,7 +16,7 @@ import os
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -84,8 +84,8 @@ class IntersectionLattice:
         return list(self.by_rank[1]) if len(self.by_rank) > 1 else []
 
     def atom_of(self, root_index: int) -> int:
-        """Flat id of the rank-1 flat through a given root."""
-        return self.id_of[closure(self.rs, [root_index])]
+        """Flat id of the rank-1 flat through a given root: that root alone."""
+        return self.id_of[self.rs.as_mask([root_index])]
 
     def betti_row(self) -> list[int]:
         """Stratum counts by codimension: entry k counts flats of rank r-k."""
@@ -185,17 +185,10 @@ def _expand_flat(rs: RootSystem, mask: int) -> list[int]:
     return list(children.values())
 
 
-_WORKER_RS: RootSystem | None = None
-
-
-def _worker_init(type_str: str) -> None:
-    global _WORKER_RS
-    _WORKER_RS = build_root_system(type_str)
-
-
-def _worker_expand(masks: list[int]) -> list[list[int]]:
-    assert _WORKER_RS is not None
-    return [_expand_flat(_WORKER_RS, m) for m in masks]
+def _worker_expand(type_str: str, masks: list[int]) -> list[list[int]]:
+    # build_root_system is cached: a worker builds its root system once.
+    rs = build_root_system(type_str)
+    return [_expand_flat(rs, m) for m in masks]
 
 
 def check_flat_budget(rs: RootSystem, max_flats: int | None) -> None:
@@ -213,17 +206,12 @@ def _sweep(rs: RootSystem, workers: int) -> list[int]:
     try:
         for _ in range(rs.rank):
             if workers > 1 and len(frontier) >= 64 * workers and pool is None:
-                pool = ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_worker_init,
-                    initargs=(str(rs.ctype),),
-                )
+                pool = ProcessPoolExecutor(max_workers=workers)
             if pool is not None and len(frontier) >= 64 * workers:
                 chunk = max(1, len(frontier) // (workers * 8))
                 chunks = [frontier[i : i + chunk] for i in range(0, len(frontier), chunk)]
-                per_parent = (
-                    kids for batch in pool.map(_worker_expand, chunks) for kids in batch
-                )
+                batches = pool.map(_worker_expand, repeat(str(rs.ctype)), chunks)
+                per_parent = (kids for batch in batches for kids in batch)
             else:
                 per_parent = (_expand_flat(rs, m) for m in frontier)
             next_keys: set[int] = set()
@@ -254,7 +242,8 @@ def _keys(rs: RootSystem, masks: list[int]) -> np.ndarray:
     return np.array(rows, dtype=np.uint64).reshape(len(masks), words)
 
 
-def _masks(keys: np.ndarray) -> list[int]:
+def key_masks(keys: np.ndarray) -> list[int]:
+    """The Python-int mask of each row of keys."""
     masks = keys[:, 0].tolist()
     for j in range(1, keys.shape[1]):
         masks = [m << 64 | w for m, w in zip(masks, keys[:, j].tolist())]
@@ -346,13 +335,13 @@ def walk_level(
     keys = walk[order]
     first = sum(list(reversed(betti_row_closed_form(rs.ctype)))[:k])
     # Only the least flats become ints: E8's whole rank 2 would take 360 MB.
-    return first, keys, label, list(zip(least.tolist(), size.tolist(), _masks(keys[least])))
+    return first, keys, label, list(zip(least.tolist(), size.tolist(), key_masks(keys[least])))
 
 
 def flat_level(rs: RootSystem, k: int) -> tuple[int, list[int]]:
     """The id of the first rank-k flat and the sorted rank-k masks."""
     first, keys, _, _ = walk_level(rs, k)
-    return first, _masks(keys)
+    return first, key_masks(keys)
 
 
 def walk_rank_counts(rs: RootSystem, *, max_flats: int | None = DEFAULT_FLAT_BUDGET) -> list[int]:
@@ -411,7 +400,7 @@ def build_lattice(
     """
     check_flat_budget(rs, max_flats)
     walks = [walk_level(rs, k) for k in range(rs.rank + 1)]
-    levels = [_masks(keys) for _, keys, _, _ in walks]
+    levels = [key_masks(keys) for _, keys, _, _ in walks]
     moves = [_moves(rs, keys) for _, keys, _, _ in walks]
     # Covers share one int object per id; 892,102 E7 covers would not.
     ids = list(range(sum(map(len, levels))))

@@ -15,12 +15,13 @@ conditions; descriptors are:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 from math import gcd
 from typing import Iterable, Iterator
 
 from .errors import InvariantViolation, MalformedDescriptor, NotClassical, NotGood, StarViolation
-from .flats import IntersectionLattice
+from .flats import IntersectionLattice, key_masks, walk_level
 from .rootsys import (
     CartanType,
     RootSystem,
@@ -59,20 +60,18 @@ def bds_candidates(rs: RootSystem) -> list[tuple[tuple[int, int], int]]:
     return out
 
 
-def bds_covers_all(rs: RootSystem, lat: IntersectionLattice) -> bool:
-    """Every candidate is good and every good subsystem is W-conjugate to one."""
-    from .weyl import _orbit_masks
+def bds_covers_all(rs: RootSystem) -> bool:
+    """Every candidate is good and every good subsystem is W-conjugate to one.
 
+    A good candidate is a rank-(r-1) flat, so its place in the walk's
+    sorted level names its W-orbit; the candidates must name every orbit.
+    """
     candidates = {mask for _, mask in bds_candidates(rs)}
     if not all(is_k_step_good(rs, mask, 1) for mask in candidates):
         return False
-    remaining = {lat.flats[fid].mask for fid in lat.by_rank[rs.rank - 1]}
-    while remaining:
-        orbit = _orbit_masks(rs, min(remaining))
-        if orbit.isdisjoint(candidates):
-            return False
-        remaining -= orbit
-    return True
+    _, keys, label, orbits = walk_level(rs, rs.rank - 1)
+    level = key_masks(keys)
+    return len({label[bisect_left(level, mask)] for mask in candidates}) == len(orbits)
 
 
 def classical_omit_node(rs: RootSystem, i: int) -> int:

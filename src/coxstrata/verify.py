@@ -169,7 +169,7 @@ def goodsub_checks(rs: RootSystem, lat) -> Iterator[Check]:
         all(is_k_step_good(rs, m, 1) for _, m in cands),
         f"{len(cands)} candidates",
     )
-    yield _check("affine-candidates-cover-orbits", bds_covers_all(rs, lat))
+    yield _check("affine-candidates-cover-orbits", bds_covers_all(rs))
     family, r = rs.ctype.factors[0]
     param_ok = (family == "A" and r <= 5) or (family in "BC" and r <= 4) or (
         family == "D" and r <= 4

@@ -1,8 +1,11 @@
 """Reflection-group action on roots, flats and points.
 
 Group elements are never materialized: everything is driven by the
-simple-reflection generators, with orbit BFS over flats and the
-orbit-stabilizer relation for stabilizer orders.
+simple-reflection generators and the orbit-stabilizer relation for
+stabilizer orders.  Whole levels take their W-orbits from the numpy walk
+`flats.walk_level`, whose orbit labels `typed_level` types once per
+orbit; `orbit_of_flat`, the single-flat query, walks one orbit of
+Python-int masks (`_orbit_masks`).
 """
 
 from __future__ import annotations
@@ -85,21 +88,23 @@ class OrbitSummary:
         return sum(len(rows) for rows in self.per_rank)
 
 
-def orbit_levels(
-    rs: RootSystem,
-) -> Iterator[tuple[int, np.ndarray, list[tuple[int, int, int]], list[CartanType]]]:
-    """For k = 0..r: walk_level's first id, place labels and orbits, and
-    each orbit's Cartan type.  W permutes the roots, so a flat's type is
-    constant on its orbit: each orbit is classified once, at its least flat.
+def typed_level(
+    rs: RootSystem, k: int
+) -> tuple[int, np.ndarray, np.ndarray, list[tuple[int, int, int]], list[CartanType]]:
+    """walk_level(rs, k) and the Cartan type of each of its W-orbits.
+
+    W permutes the roots, so a flat's type is constant on its orbit: each
+    orbit is classified once, at its least flat, and a place's type is
+    types[label[place]].
     """
-    for k in range(rs.rank + 1):
-        first, _, label, orbits = walk_level(rs, k)
-        yield first, label, orbits, [classify_subsystem(rs, mask) for _, _, mask in orbits]
+    first, keys, label, orbits = walk_level(rs, k)
+    return first, keys, label, orbits, [classify_subsystem(rs, mask) for _, _, mask in orbits]
 
 
 def flat_types(rs: RootSystem) -> Iterator[CartanType]:
     """The Cartan type of every flat, in id order."""
-    for _, label, _, types in orbit_levels(rs):
+    for k in range(rs.rank + 1):
+        _, _, label, _, types = typed_level(rs, k)
         yield from map(types.__getitem__, label.tolist())
 
 
@@ -107,7 +112,8 @@ def parabolic_summary(rs: RootSystem) -> OrbitSummary:
     """One record per W-orbit of flats; a representative is its orbit's least mask."""
     w = weyl_order(rs.ctype)
     per_rank = []
-    for first, _, orbits, types in orbit_levels(rs):
+    for k in range(rs.rank + 1):
+        first, _, _, orbits, types = typed_level(rs, k)
         records = []
         for (place, size, _), ctype in zip(orbits, types):
             if w % size:

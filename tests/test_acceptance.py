@@ -160,9 +160,9 @@ def test_criterion_5_parametrization_bijections(lattice_of):
 
 def test_criterion_6_affine_candidate_coverage(lattice_of):
     for name in RANK_LE_4:
-        rs, lat = lattice_of(name)
+        rs, _ = lattice_of(name)
         assert all(is_k_step_good(rs, m, 1) for _, m in bds_candidates(rs)), name
-        assert bds_covers_all(rs, lat), name
+        assert bds_covers_all(rs), name
     _report(6, True, f"coprime-pair candidates good + cover all orbits: {', '.join(RANK_LE_4)}")
 
 

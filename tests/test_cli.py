@@ -16,7 +16,7 @@ from coxstrata.betti import EXCEPTIONAL_ROWS, betti_row_closed_form
 from coxstrata.cli import _cup_table, load_lattice_cache, main, save_lattice_cache
 from coxstrata.cohomology import GradedClass, cup
 from coxstrata.errors import ResourceLimit
-from coxstrata.flats import build_lattice
+from coxstrata.flats import build_lattice, flat_level
 from coxstrata.rootsys import build_root_system, classify_subsystem
 
 
@@ -567,6 +567,29 @@ def test_member_and_good_build_load_and_save_no_lattice(command, tmp_path, monke
     assert main(command.split()) == 0
     assert capsys.readouterr().out == WALK_COMMAND_OUTPUT[command]
     assert not any(tmp_path.iterdir())
+
+
+# Every type of at most 5,000 flats among those `good` is run on.
+GOOD_TYPES = [
+    name
+    for name in [f"A{r}" for r in range(1, 9)]
+    + [f"{fam}{r}" for fam in "BC" for r in range(2, 8)]
+    + [f"D{r}" for r in range(3, 8)]
+    + ["G2", "F4", "E6", "E7"]
+    if sum(betti_row_closed_form(name)) <= 5000
+]
+
+
+@pytest.mark.parametrize("name", GOOD_TYPES)
+def test_good_equals_per_flat_classification(name, capsys):
+    rs = build_root_system(name)
+    first, level = flat_level(rs, rs.rank - 1)
+    expected = "".join(
+        f"flat {fid}: {classify_subsystem(rs, mask)} positives {rs.positions(mask)}\n"
+        for fid, mask in enumerate(level, first)
+    )
+    assert main(["good", name]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_member_mask_missing_from_its_level_is_an_invariant_violation(monkeypatch, capsys):

@@ -95,6 +95,14 @@ def test_flats_match_brute_force_oracle(lattice_of):
         assert brute_force_flats(rs) == enum, name
 
 
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "F4", "E6"])
+def test_atom_of_is_the_flat_of_one_root(name, lattice_of):
+    rs, lat = lattice_of(name)
+    assert len(rs.roots) == 2 * rs.d
+    for i in range(len(rs.roots)):
+        assert lat.atom_of(i) == lat.id_of[closure(rs, [i])], i
+
+
 def test_join_examples(lattice_of):
     rs, lat = lattice_of("A3")
     a1 = lat.atom_of(rs.index[(1, -1, 0, 0)])
@@ -375,12 +383,11 @@ def test_enumerate_rank_counts_clamps_workers(monkeypatch):
     class SerialPool:
         """Stands in for ProcessPoolExecutor: records its size, maps in process."""
 
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
-            initializer(*initargs)
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
         def shutdown(self):
             pass
@@ -389,7 +396,6 @@ def test_enumerate_rank_counts_clamps_workers(monkeypatch):
     rs = build_root_system("B5")
     row = walk_rank_counts(rs)
     monkeypatch.setattr("coxstrata.flats.ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr("coxstrata.flats._WORKER_RS", None)
     monkeypatch.setattr("os.cpu_count", lambda: 4)
     for workers, pool in [(0, []), (1, []), (3, [3]), (64, [4])]:
         sizes.clear()

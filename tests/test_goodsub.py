@@ -17,7 +17,8 @@ from coxstrata.goodsub import (
     star_check,
     star_sets,
 )
-from coxstrata.rootsys import CartanType, classify_subsystem, closure
+from coxstrata.rootsys import CartanType, build_root_system, classify_subsystem, closure
+from coxstrata.weyl import _orbit_masks
 
 
 def test_is_k_step_good_examples(lattice_of):
@@ -89,8 +90,20 @@ def test_bds_coprime_filter():
 def test_bds_covers_all_small_types(lattice_of):
     for name in ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
                  "D3", "D4", "G2", "F4"]:
-        rs, lat = lattice_of(name)
-        assert bds_covers_all(rs, lat), name
+        rs, _ = lattice_of(name)
+        assert bds_covers_all(rs), name
+
+
+@pytest.mark.parametrize("name", ["B3", "D4", "F4"])
+def test_bds_covers_all_fails_when_an_orbit_loses_its_candidates(name, monkeypatch):
+    rs = build_root_system(name)
+    candidates = bds_candidates(rs)
+    assert bds_covers_all(rs)
+    for _, mask in candidates:
+        orbit = _orbit_masks(rs, mask)
+        kept = [c for c in candidates if c[1] not in orbit]
+        monkeypatch.setattr("coxstrata.goodsub.bds_candidates", lambda rs: kept)
+        assert not bds_covers_all(rs), rs.positions(mask)
 
 
 def test_parabolic_characterization(lattice_of):

@@ -17,9 +17,9 @@ from coxstrata.weyl import (
     OrbitRecord,
     _orbit_masks,
     flat_types,
-    orbit_levels,
     orbit_of_flat,
     parabolic_summary,
+    typed_level,
     weyl_act_point,
     weyl_order,
 )
@@ -162,7 +162,8 @@ def test_parabolic_summary_equals_partition_of_lattice_levels(name, lattice_of):
 @pytest.mark.parametrize("name", ["A4", "B4", "C4", "D5", "G2", "F4", "E6"])
 def test_orbit_labels_partition_each_level_into_w_orbits(name, lattice_of):
     rs, lat = lattice_of(name)
-    for first, label, orbits, types in orbit_levels(rs):
+    for k in range(rs.rank + 1):
+        first, _, label, orbits, types = typed_level(rs, k)
         labels = label.tolist()
         for i, (place, size, mask) in enumerate(orbits):
             orbit = orbit_of_flat(rs, lat, first + place)
