@@ -44,7 +44,7 @@ class StarViolation(CoxstrataError):
 
 
 class LatticeMismatch(CoxstrataError):
-    """Graded classes live over different lattices."""
+    """Arguments live over different lattices or root-system types."""
 
 
 class MalformedWord(CoxstrataError):

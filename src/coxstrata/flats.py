@@ -299,6 +299,11 @@ def _orbit(rs: RootSystem, gather: np.ndarray, start: np.ndarray) -> np.ndarray:
     return np.concatenate(layers)
 
 
+def flat_orbit(rs: RootSystem, mask: int) -> list[int]:
+    """The masks of the W-orbit of one flat, in BFS order from it."""
+    return key_masks(_orbit(rs, _gather(rs), _keys(rs, [mask])))
+
+
 def parabolic_flat(rs: RootSystem, simple_set: int) -> int:
     """closure(J) for the simple roots J whose ordinals are the set bits.
 

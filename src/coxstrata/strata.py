@@ -3,17 +3,20 @@
 A point assigns each positive root an exact rational or infinity (the
 two standard affine charts of P^1; None encodes infinity).  Membership
 in the compactification is a linear-algebra check on the finite part:
-the finite support must be a flat's positive half, and the finite
-values must extend to a linear functional on its span.
+the finite support must be a flat's positive half (one span closure),
+and the finite values must extend to a linear functional on its span
+(one integer echelon over the rows [root | value]).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import InvalidId, InvariantViolation, NotInVariety, SpanDeficient
+from .errors import InvalidId, InvariantViolation, LatticeMismatch, NotInVariety, SpanDeficient
 from .flats import IntersectionLattice
 from .linalg import IncrementalSpan, IntVec, bareiss_rank, integer_kernel
 from .rootsys import RootSystem, closure
@@ -29,6 +32,10 @@ class ExtendedPoint:
 
     def finite_positions(self) -> list[int]:
         return [p for p, v in enumerate(self.values) if v is not None]
+
+    def check_length(self, d: int) -> None:
+        if len(self.values) != d:
+            raise InvalidId(f"point has {len(self.values)} coordinates, expected {d}")
 
 
 def _relation(target: Sequence[int], basis: Sequence[Sequence[int]]) -> IntVec | None:
@@ -78,7 +85,7 @@ class Rejection:
 
 
 def fin_set(rs: RootSystem, point: ExtendedPoint) -> int:
-    """Mask of the roots with finite coordinate (negation-symmetrized)."""
+    """Mask of the positive-root positions whose coordinate is finite."""
     mask = 0
     for p in point.finite_positions():
         mask |= 1 << p
@@ -90,41 +97,40 @@ def _stratum(rs: RootSystem, point: ExtendedPoint) -> tuple[int, Functional] | R
 
     The point lies in the variety iff its finite support is span-closed
     and the finite values satisfy every rational linear relation among
-    those roots.
+    those roots.  In the echelon over the rows [root | value], a row with
+    its pivot in a root column is the next greedy basis position; one with
+    its pivot in the value column is the first broken relation.
     """
-    if len(point.values) != rs.d:
-        raise InvalidId(f"point has {len(point.values)} coordinates, expected {rs.d}")
+    point.check_length(rs.d)
     fin = fin_set(rs, point)
     span_closed = closure(rs, fin)
     if span_closed != fin:
         forced = (span_closed & ~fin).bit_length() - 1
         return Rejection("finite support is not span-closed", forced_position=forced)
-    finite = point.finite_positions()
-    span = IncrementalSpan(rs.ambient)
-    basis_positions = [
-        p for p in finite if span.add(rs.roots[rs.positives[p]])
-    ]
-    witness = Functional(
-        tuple(basis_positions), tuple(point.values[p] for p in basis_positions)
-    )
-    basis = [rs.roots[rs.positives[p]] for p in basis_positions]
-    for p in finite:
-        x = _relation(rs.roots[rs.positives[p]], basis)
-        if x is None:
-            raise InvariantViolation(f"root at position {p} lies outside the basis span")
-        positions = [p, *basis_positions]
-        if sum(c * point.values[q] for c, q in zip(x, positions)):
+    span = IncrementalSpan(rs.ambient + 1)
+    basis_positions: list[int] = []
+    for p in point.finite_positions():
+        v, root = point.values[p], rs.roots[rs.positives[p]]
+        if not span.add([v.denominator * a for a in root] + [v.numerator]):
+            continue
+        if span.pivots[-1] == rs.ambient:
+            x = _relation(root, [rs.roots[rs.positives[q]] for q in basis_positions])
+            if x is None:
+                raise InvariantViolation(f"root at position {p} lies outside the basis span")
             relation = [0] * rs.d
-            for c, q in zip(x, positions):
-                relation[q] += c
+            for c, q in zip(x, [p, *basis_positions]):
+                relation[q] = c
             return Rejection("finite values violate a root relation", relation=tuple(relation))
-    return fin, witness
+        basis_positions.append(p)
+    return fin, Functional(tuple(basis_positions), tuple(point.values[p] for p in basis_positions))
 
 
 def membership(
     rs: RootSystem, lat: IntersectionLattice, point: ExtendedPoint
 ) -> StratumResult | Rejection:
     """Decide membership; return the stratum flat and witness, or the obstruction."""
+    if lat.rs.ctype != rs.ctype:
+        raise LatticeMismatch(f"lattice of {lat.rs.ctype} given with a root system of {rs.ctype}")
     result = _stratum(rs, point)
     if isinstance(result, Rejection):
         return result
@@ -141,16 +147,16 @@ def stratum_of(rs: RootSystem, lat: IntersectionLattice, point: ExtendedPoint) -
 
 def h_translate(rs: RootSystem, point: ExtendedPoint, y: Sequence) -> ExtendedPoint:
     """Translate by an ambient vector: finite coordinates shift by root(y)."""
+    point.check_length(rs.d)
     yvec = [Fraction(c) for c in y]
     if len(yvec) != rs.ambient:
         raise InvalidId(f"translation vector needs {rs.ambient} coordinates")
-    out = []
-    for p, v in enumerate(point.values):
-        if v is None:
-            out.append(None)
-        else:
-            root = rs.roots[rs.positives[p]]
-            out.append(v + sum(Fraction(a) * c for a, c in zip(root, yvec)))
+    den = lcm(*[c.denominator for c in yvec])
+    num = [c.numerator * (den // c.denominator) for c in yvec]
+    out = [
+        None if v is None else v + Fraction(sum(map(mul, rs.roots[rs.positives[p]], num)), den)
+        for p, v in enumerate(point.values)
+    ]
     return ExtendedPoint(tuple(out))
 
 

@@ -2,10 +2,10 @@
 
 Group elements are never materialized: everything is driven by the
 simple-reflection generators and the orbit-stabilizer relation for
-stabilizer orders.  Whole levels take their W-orbits from the numpy walk
-`flats.walk_level`, whose orbit labels `typed_level` types once per
-orbit; `orbit_of_flat`, the single-flat query, walks one orbit of
-Python-int masks (`_orbit_masks`).
+stabilizer orders.  Every W-orbit comes from the one numpy orbit engine
+in `flats`: whole levels from `flats.walk_level`, whose orbit labels
+`typed_level` types once per orbit, and the single-flat query
+`orbit_of_flat` from `flats.flat_orbit`.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation, MalformedWord
-from .flats import IntersectionLattice, walk_level
+from .errors import InvariantViolation, LatticeMismatch, MalformedWord
+from .flats import IntersectionLattice, flat_orbit, walk_level
 from .rootsys import CartanType, RootSystem, classify_subsystem
 
 _EXCEPTIONAL_ORDERS = {
@@ -46,26 +46,11 @@ def weyl_order(ctype: CartanType | str) -> int:
     return order
 
 
-def _orbit_masks(rs: RootSystem, mask: int) -> set[int]:
-    """Masks reachable from mask under the simple reflections (BFS)."""
-    perms = [rs.positive_perm(s) for s in rs.simples]
-    seen = {mask}
-    frontier = [mask]
-    while frontier:
-        new = []
-        for m in frontier:
-            for perm in perms:
-                image = rs.apply_perm_to_mask(perm, m)
-                if image not in seen:
-                    seen.add(image)
-                    new.append(image)
-        frontier = new
-    return seen
-
-
 def orbit_of_flat(rs: RootSystem, lat: IntersectionLattice, fid: int) -> set[int]:
     """Flat ids reachable from fid under the simple reflections."""
-    return set(map(lat.id_of.__getitem__, _orbit_masks(rs, lat.flat(fid).mask)))
+    if lat.rs.ctype != rs.ctype:
+        raise LatticeMismatch(f"lattice of {lat.rs.ctype} given with a root system of {rs.ctype}")
+    return set(map(lat.id_of.__getitem__, flat_orbit(rs, lat.flat(fid).mask)))
 
 
 @dataclass(frozen=True)
@@ -136,6 +121,7 @@ def weyl_act_point(rs: RootSystem, word: Sequence[int], point):
     for letter in word:
         if not 1 <= letter <= rs.rank:
             raise MalformedWord(f"letter {letter} outside 1..{rs.rank}")
+    point.check_length(rs.d)
     values = list(point.values)
     for letter in reversed(word):
         mirror = rs.simples[letter - 1]

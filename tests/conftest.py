@@ -30,6 +30,24 @@ def pos_of_coords(rs, coords):
     return rs.pos_of.get(idx, rs.pos_of.get(rs.neg[idx]))
 
 
+def orbit_masks(rs, mask):
+    """Reference: masks reachable from mask under the simple reflections,
+    by a breadth-first search over Python-int masks."""
+    perms = [rs.positive_perm(s) for s in rs.simples]
+    seen = {mask}
+    frontier = [mask]
+    while frontier:
+        new = []
+        for m in frontier:
+            for perm in perms:
+                image = rs.apply_perm_to_mask(perm, m)
+                if image not in seen:
+                    seen.add(image)
+                    new.append(image)
+        frontier = new
+    return seen
+
+
 def _gauss_jordan(rows, cols):
     """Reduced row echelon form over Fraction, and its pivot columns."""
     m = [[Fraction(x) for x in r] for r in rows]

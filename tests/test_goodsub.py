@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import orbit_masks
 from coxstrata.betti import f_closed_form
 from coxstrata.errors import MalformedDescriptor, NotClassical, NotGood, StarViolation
 from coxstrata.flats import whitney_second
@@ -18,7 +19,6 @@ from coxstrata.goodsub import (
     star_sets,
 )
 from coxstrata.rootsys import CartanType, build_root_system, classify_subsystem, closure
-from coxstrata.weyl import _orbit_masks
 
 
 def test_is_k_step_good_examples(lattice_of):
@@ -100,7 +100,7 @@ def test_bds_covers_all_fails_when_an_orbit_loses_its_candidates(name, monkeypat
     candidates = bds_candidates(rs)
     assert bds_covers_all(rs)
     for _, mask in candidates:
-        orbit = _orbit_masks(rs, mask)
+        orbit = orbit_masks(rs, mask)
         kept = [c for c in candidates if c[1] not in orbit]
         monkeypatch.setattr("coxstrata.goodsub.bds_candidates", lambda rs: kept)
         assert not bds_covers_all(rs), rs.positions(mask)

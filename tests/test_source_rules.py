@@ -20,9 +20,8 @@ def test_no_safety_check_relies_on_assert():
 
 
 def test_no_module_imports_a_private_walk_helper():
-    # Other modules reach the W-orbit walks through flats.walk_level,
-    # flats.key_masks and weyl.typed_level; weyl._orbit_masks serves
-    # weyl.orbit_of_flat alone.
+    # Other modules reach the one W-orbit engine through flats.walk_level,
+    # flats.flat_orbit, flats.key_masks and weyl.typed_level.
     offending = []
     for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

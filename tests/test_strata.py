@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PROPERTY_TYPES, fraction_rank, fraction_solve, pos_of_coords
-from coxstrata.errors import NotInVariety, SpanDeficient
-from coxstrata.flats import leq
+from coxstrata.errors import InvalidId, LatticeMismatch, NotInVariety, SpanDeficient
+from coxstrata.flats import build_lattice, leq
 from coxstrata.linalg import IncrementalSpan
 from coxstrata.rootsys import build_root_system, closure
 from coxstrata.strata import (
@@ -19,6 +19,8 @@ from coxstrata.strata import (
     Functional,
     Rejection,
     StratumResult,
+    _relation,
+    _stratum,
     fin_set,
     generate_relations,
     h_translate,
@@ -432,3 +434,108 @@ def test_membership_invariant_under_actions(lattice_of):
             res = membership(rs, lat, moved)
             assert isinstance(res, StratumResult)
             assert lat.flat(res.flat_id).rank == lat.flat(fid).rank
+
+
+def _two_step_stratum(rs, point):
+    """Reference: a greedy span basis, then one relation solve per finite root."""
+    fin = fin_set(rs, point)
+    span_closed = closure(rs, fin)
+    if span_closed != fin:
+        forced = (span_closed & ~fin).bit_length() - 1
+        return Rejection("finite support is not span-closed", forced_position=forced)
+    finite = point.finite_positions()
+    span = IncrementalSpan(rs.ambient)
+    basis_positions = [p for p in finite if span.add(rs.roots[rs.positives[p]])]
+    basis = [rs.roots[rs.positives[p]] for p in basis_positions]
+    for p in finite:
+        x = _relation(rs.roots[rs.positives[p]], basis)
+        positions = [p, *basis_positions]
+        if sum(c * point.values[q] for c, q in zip(x, positions)):
+            relation = [0] * rs.d
+            for c, q in zip(x, positions):
+                relation[q] += c
+            return Rejection("finite values violate a root relation", relation=tuple(relation))
+    values = tuple(point.values[p] for p in basis_positions)
+    return fin, Functional(tuple(basis_positions), values)
+
+
+def _functional_values(rs, mask, h):
+    return tuple(
+        sum(a * c for a, c in zip(rs.roots[rs.positives[p]], h)) if mask >> p & 1 else None
+        for p in range(rs.d)
+    )
+
+
+@pytest.mark.parametrize("name", ["A3", "B4", "C3", "D5", "G2", "F4"])
+def test_echelon_stratum_equals_the_two_step_reference(lattice_of, name):
+    rs, lat = lattice_of(name)
+    rng = random.Random(61)
+    fractions = [Fraction(n, d) for n in range(-7, 8) for d in (1, 2, 3, 5)]
+    linked = [f for f in lat.flats if _linked_positions(rs, f.mask)]
+    points = [ExtendedPoint((None,) * rs.d)]
+    for _ in range(60):
+        h = [rng.choice(fractions) for _ in range(rs.ambient)]
+        points.append(ExtendedPoint(_functional_values(rs, rng.choice(lat.flats).mask, h)))
+        points.append(ExtendedPoint(_functional_values(rs, rs.full_mask, h)))
+        flat = rng.choice(linked)
+        values = list(_functional_values(rs, flat.mask, h))
+        values[rng.choice(_linked_positions(rs, flat.mask))] += rng.choice(fractions) or 1
+        points.append(ExtendedPoint(tuple(values)))
+        values = list(_functional_values(rs, rs.full_mask, h))
+        values[rng.randrange(rs.rank, rs.d)] += Fraction(1, rng.randrange(1, 4))
+        points.append(ExtendedPoint(tuple(values)))
+        subset = rng.getrandbits(rs.d)
+        points.append(ExtendedPoint(_functional_values(rs, subset, h)))
+    kinds = set()
+    for point in points:
+        ours, reference = _stratum(rs, point), _two_step_stratum(rs, point)
+        assert ours == reference, point
+        kinds.add(reference.reason if isinstance(reference, Rejection) else "member")
+        res = membership(rs, lat, point)
+        if isinstance(reference, Rejection):
+            assert res == reference
+        else:
+            assert res == StratumResult(lat.id_of[reference[0]], reference[1])
+    assert len(kinds) == 3
+
+
+def test_h_translate_equals_the_fraction_sum(lattice_of):
+    rng = random.Random(67)
+    for name in ["A3", "B4", "G2", "F4"]:
+        rs, lat = lattice_of(name)
+        for _ in range(40):
+            point = _member_of_flat(rs, lat, rng.randrange(len(lat)), rng)
+            y = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(rs.ambient)]
+            expected = tuple(
+                None if v is None
+                else v + sum(Fraction(a) * c for a, c in zip(rs.roots[rs.positives[p]], y))
+                for p, v in enumerate(point.values)
+            )
+            assert h_translate(rs, point, y) == ExtendedPoint(expected)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_point_length_is_checked_by_every_point_operation(lattice_of, extra):
+    rs, lat = lattice_of("A2")
+    point = ExtendedPoint((Fraction(1),) * (rs.d + extra))
+    message = f"point has {rs.d + extra} coordinates, expected {rs.d}"
+    with pytest.raises(InvalidId, match=message):
+        weyl_act_point(rs, [1], point)
+    with pytest.raises(InvalidId, match=message):
+        weyl_act_point(rs, [], point)
+    with pytest.raises(InvalidId, match=message):
+        h_translate(rs, point, [0] * rs.ambient)
+    with pytest.raises(InvalidId, match=message):
+        membership(rs, lat, point)
+
+
+def test_membership_refuses_a_lattice_of_another_type(lattice_of):
+    rs, _ = lattice_of("A2")
+    _, other = lattice_of("B2")
+    point = ExtendedPoint((None,) * rs.d)
+    with pytest.raises(LatticeMismatch):
+        membership(rs, other, point)
+    with pytest.raises(LatticeMismatch):
+        stratum_of(rs, other, point)
+    # Same type, separately built: accepted.
+    assert stratum_of(rs, build_lattice(build_root_system("A2")), point) == 0

@@ -6,16 +6,15 @@ from itertools import combinations
 
 import pytest
 
-from conftest import pos_of_coords
+from conftest import orbit_masks, pos_of_coords
 from coxstrata import build_root_system
 from coxstrata.betti import betti_row_closed_form
-from coxstrata.errors import MalformedWord
+from coxstrata.errors import LatticeMismatch, MalformedWord
 from coxstrata.flats import flat_level, join, whitney_second
 from coxstrata.rootsys import classify_subsystem, closure
 from coxstrata.strata import ExtendedPoint
 from coxstrata.weyl import (
     OrbitRecord,
-    _orbit_masks,
     flat_types,
     orbit_of_flat,
     parabolic_summary,
@@ -159,6 +158,20 @@ def test_parabolic_summary_equals_partition_of_lattice_levels(name, lattice_of):
         assert masks == [lat.flat(fid).mask for fid in ids]
 
 
+@pytest.mark.parametrize("name", ["A4", "B4", "C3", "D4", "D5", "G2", "F4"])
+def test_orbit_of_flat_equals_python_int_orbits(name, lattice_of):
+    rs, lat = lattice_of(name)
+    for f in lat.flats:
+        assert orbit_of_flat(rs, lat, f.id) == {lat.id_of[m] for m in orbit_masks(rs, f.mask)}
+
+
+def test_orbit_of_flat_refuses_a_lattice_of_another_type(lattice_of):
+    rs, _ = lattice_of("A2")
+    _, other = lattice_of("B2")
+    with pytest.raises(LatticeMismatch):
+        orbit_of_flat(rs, other, 0)
+
+
 @pytest.mark.parametrize("name", ["A4", "B4", "C4", "D5", "G2", "F4", "E6"])
 def test_orbit_labels_partition_each_level_into_w_orbits(name, lattice_of):
     rs, lat = lattice_of(name)
@@ -183,7 +196,7 @@ def test_multiword_walk_equals_python_int_orbits(name):
         for J in combinations(rs.simples, k):
             start = closure(rs, J)
             if start not in expected:
-                expected |= _orbit_masks(rs, start)
+                expected |= orbit_masks(rs, start)
         assert flat_level(rs, k)[1] == sorted(expected), (name, k)
 
 
