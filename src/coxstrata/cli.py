@@ -1,13 +1,15 @@
 """Command-line surface: tables, JSON/CSV export, verification, caching.
 
-`betti`, `lattice` and `verify` take --allow-huge, which lifts the flat
-budget; every budget is checked before any enumeration.  Every command
+Every command but `cup` and `rootinfo` takes --allow-huge, which lifts
+the flat budget; `cup` needs the whole lattice, out of reach for E8.
+Every budget is checked before any enumeration.  Every command
 that enumerates flats (`betti --method enum`, `lattice`, `cup`, `orbits`,
 `good`, `member`, `verify`) uses the W-orbit walk of flats.py; `verify`
 also counts the flats by the closure sweep, its independent second route.
 `cup` reads its table off the lattice's covers; `lattice --export` and
 `good` give each flat the Cartan type of its W-orbit, classified once per
-orbit through the walk's orbit labels (`weyl.typed_level`);
+orbit through the walk's orbit labels (`weyl.flat_types` reads those the
+lattice keeps, `weyl.typed_level` walks `good`'s one rank);
 `cohomology.cup` and `flats.join` stay the library API and the route by
 which `verify` checks the ring axioms.
 
@@ -26,7 +28,6 @@ import os
 import re
 import struct
 import sys
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -42,7 +43,7 @@ from .flats import (
     IntersectionLattice,
     build_lattice,
     check_flat_budget,
-    flat_level,
+    flat_id,
     key_masks,
     walk_rank_counts,
 )
@@ -158,7 +159,7 @@ def _write_lattice_json(lat: IntersectionLattice, out) -> None:
     out.write('{\n  "covers": ')
     _write_json_list(out, map("    [\n      %d,\n      %d\n    ]".__mod__, lat.covers))
     out.write(f',\n  "d": {rs.d},\n  "flats": ')
-    flats = zip(lat.flats, flat_types(rs), strict=True)
+    flats = zip(lat.flats, flat_types(lat), strict=True)
     _write_json_list(out, (flat_json(f, ctype) for f, ctype in flats))
     out.write(f',\n  "rank": {rs.rank},\n  "type": {json.dumps(str(rs.ctype))}\n}}\n')
 
@@ -200,9 +201,8 @@ def cmd_rootinfo(args) -> int:
     return 0
 
 
-def _betti_row_enum(rs: RootSystem, allow_huge: bool) -> list[int]:
-    budget = None if allow_huge else DEFAULT_FLAT_BUDGET
-    return list(reversed(walk_rank_counts(rs, max_flats=budget)))
+def _budget(args) -> int | None:
+    return None if args.allow_huge else DEFAULT_FLAT_BUDGET
 
 
 def cmd_betti(args) -> int:
@@ -214,7 +214,8 @@ def cmd_betti(args) -> int:
         if method == "formula":
             methods["formula"] = betti.betti_row_closed_form(ctype)
         elif method == "enum":
-            methods["enum"] = _betti_row_enum(build_root_system(ctype), args.allow_huge)
+            rs = build_root_system(ctype)
+            methods["enum"] = list(reversed(walk_rank_counts(rs, max_flats=_budget(args))))
         elif method == "series":
             if family not in ("A", "B", "C", "D"):
                 if args.compare:
@@ -241,7 +242,7 @@ def cmd_lattice(args) -> int:
     path = None if args.cache_dir is None else Path(args.cache_dir) / f"{rs.ctype}.cxlt"
     lat = None if path is None else load_lattice_cache(rs, path)
     if lat is None:
-        lat = build_lattice(rs, max_flats=None if args.allow_huge else DEFAULT_FLAT_BUDGET)
+        lat = build_lattice(rs, max_flats=_budget(args))
         if path is not None:
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
@@ -253,7 +254,7 @@ def cmd_lattice(args) -> int:
     elif args.export == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["id", "rank", "cartan_type", "positive_roots"])
-        for f, ctype in zip(lat.flats, flat_types(rs), strict=True):
+        for f, ctype in zip(lat.flats, flat_types(lat), strict=True):
             writer.writerow([f.id, f.rank, str(ctype), " ".join(map(str, rs.positions(f.mask)))])
     else:
         print(f"type {rs.ctype}: {len(lat.flats)} flats, {len(lat.covers)} covers")
@@ -272,7 +273,7 @@ def cmd_good(args) -> int:
         return 0
     if args.classical_param and rs.ctype.factors[0][0] not in "ABCD":
         raise NotClassical(f"{rs.ctype} is not classical")
-    check_flat_budget(rs, DEFAULT_FLAT_BUDGET)
+    check_flat_budget(rs, _budget(args))
     first, keys, label, _, types = typed_level(rs, rs.rank - 1)
     for fid, (mask, lab) in enumerate(zip(key_masks(keys), label.tolist()), first):
         line = f"flat {fid}: {types[lab]} positives {rs.positions(mask)}"
@@ -285,7 +286,7 @@ def cmd_good(args) -> int:
 def cmd_orbits(args) -> int:
     rs = build_root_system(_parse_type(args.type))
     # The walk holds a whole rank of flat masks, so it keeps the lattice's budget.
-    check_flat_budget(rs, DEFAULT_FLAT_BUDGET)
+    check_flat_budget(rs, _budget(args))
     summary = parabolic_summary(rs)
     print(f"type {rs.ctype}: |W| = {summary.weyl_order}, {summary.class_count} classes")
     for rank, recs in enumerate(summary.per_rank):
@@ -355,19 +356,18 @@ def _parse_point(text: str, rs: RootSystem) -> ExtendedPoint:
 def cmd_member(args) -> int:
     rs = build_root_system(_parse_type(args.type))
     point = _parse_point(args.point, rs)
-    check_flat_budget(rs, DEFAULT_FLAT_BUDGET)
+    check_flat_budget(rs, _budget(args))
     result = _stratum(rs, point)
     if isinstance(result, Rejection):
         print(f"not in variety: {result.reason}")
         return 0
     mask, witness = result
     rank = len(witness.basis_positions)
-    offset, level = flat_level(rs, rank)
-    place = bisect_left(level, mask)
-    if level[place : place + 1] != [mask]:
+    fid = flat_id(rs, rank, mask)
+    if fid is None:
         raise InvariantViolation(f"stratum mask {mask} is not a rank-{rank} flat")
     print(
-        f"stratum rank {rank} (flat {offset + place}, codimension {rs.rank - rank}), "
+        f"stratum rank {rank} (flat {fid}, codimension {rs.rank - rank}), "
         f"witness on positions {list(witness.basis_positions)}"
     )
     return 0
@@ -422,10 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("type")
     p.add_argument("--bds", action="store_true", help="affine-diagram candidates")
     p.add_argument("--classical-param", action="store_true")
+    p.add_argument("--allow-huge", action="store_true")
     p.set_defaults(func=cmd_good)
 
     p = sub.add_parser("orbits", help="orbit/stabilizer table")
     p.add_argument("type")
+    p.add_argument("--allow-huge", action="store_true")
     p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser("cup", help="atom x flat multiplication table")
@@ -436,6 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("member", help="decide membership of a point")
     p.add_argument("type")
     p.add_argument("--point", required=True, help="comma list of fractions or inf")
+    p.add_argument("--allow-huge", action="store_true")
     p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("verify", help="run invariant suites")

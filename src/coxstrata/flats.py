@@ -5,7 +5,9 @@ over positive-root positions and graded by span dimension.
 
 Every command that enumerates flats (`betti --method enum`, `lattice`,
 `cup`, `orbits`, `good`, `member`, `verify`) reads the W-orbit walk,
-`walk_level`, one rank at a time.  The closure sweep
+`walk_level`, one rank at a time.  `build_lattice` keeps each rank's
+W-orbit labels from the walk; a lattice made from levels and covers
+alone walks a rank when its labels are first read.  The closure sweep
 `enumerate_rank_counts` is the independent second route to the counts
 that `verify` checks the walk against; `verify` runs it in one process.
 """
@@ -21,7 +23,7 @@ from itertools import combinations, repeat
 import numpy as np
 
 from .betti import betti_row_closed_form
-from .errors import InvalidId, RankOutOfRange, ResourceLimit
+from .errors import InvalidId, InvariantViolation, RankOutOfRange, ResourceLimit
 from .linalg import integer_kernel
 from .rootsys import RootSystem, build_root_system, closure
 
@@ -43,11 +45,19 @@ class IntersectionLattice:
     """All flats of the arrangement of a root system, with covers.
 
     Flat ids are dense and sorted by (rank, mask); queries are read-only
-    after construction.
+    after construction.  labels[k], when given, is walk_level's W-orbit
+    label of each rank-k flat; a rank without them is walked on first use.
     """
 
-    def __init__(self, rs: RootSystem, levels: list[list[int]], covers: list[tuple[int, int]]):
+    def __init__(
+        self,
+        rs: RootSystem,
+        levels: list[list[int]],
+        covers: list[tuple[int, int]],
+        labels: list[np.ndarray] | None = None,
+    ):
         self.rs = rs
+        self._labels: list[np.ndarray | None] = list(labels or [None] * len(levels))
         self.flats: list[Flat] = []
         self.by_rank: list[list[int]] = []
         for rank, masks in enumerate(levels):
@@ -90,6 +100,15 @@ class IntersectionLattice:
     def betti_row(self) -> list[int]:
         """Stratum counts by codimension: entry k counts flats of rank r-k."""
         return list(reversed(self.rank_counts))
+
+    def orbit_labels(self, k: int) -> np.ndarray:
+        """The W-orbit label of each rank-k flat, aligned with by_rank[k]."""
+        if self._labels[k] is None:
+            _, keys, label, _ = walk_level(self.rs, k)
+            if key_masks(keys) != [self.flats[fid].mask for fid in self.by_rank[k]]:
+                raise InvariantViolation(f"rank-{k} level differs from the walk of {self.rs.ctype}")
+            self._labels[k] = label
+        return self._labels[k]
 
 
 def leq(lat: IntersectionLattice, x: int, y: int) -> bool:
@@ -256,25 +275,20 @@ def _order(keys: np.ndarray, *minor: np.ndarray) -> np.ndarray:
     return np.lexsort((*minor, *keys.T[::-1]))
 
 
-def _gather(rs: RootSystem) -> np.ndarray:
-    """Row s, column q: the position that simple reflection s sends to q."""
-    return np.array([np.argsort(rs.positive_perm(s)) for s in rs.simples])
-
-
-def _images(keys: np.ndarray, gather: np.ndarray, d: int) -> np.ndarray:
+def _images(rs: RootSystem, keys: np.ndarray) -> np.ndarray:
     """Row i * r + s is the image of row i under simple reflection s.
 
     Rows go through 1,000 at a time: the bit arrays stay small and in
     cache on big levels.
     """
     n, words = keys.shape
-    r = len(gather)
+    r, gather = rs.rank, rs.gather
     out = np.empty((n * r, words), np.uint64)
     for lo in range(0, n, 1000):
         little = np.ascontiguousarray(keys[lo : lo + 1000, ::-1], dtype="<u8")
         bits = np.unpackbits(little.view(np.uint8), axis=1, bitorder="little")
         moved = np.zeros((len(little), r, 64 * words), np.uint8)
-        moved[:, :, :d] = bits[:, gather]
+        moved[:, :, : rs.d] = bits[:, gather]
         packed = np.packbits(moved, axis=2, bitorder="little").reshape(-1, 8 * words)
         out[lo * r : (lo + len(little)) * r] = packed.view("<u8")[:, ::-1]
     return out
@@ -289,19 +303,14 @@ def _fresh(cand: np.ndarray, old: np.ndarray) -> np.ndarray:
     return keys[is_cand & np.append(True, (keys[1:] != keys[:-1]).any(axis=1))]
 
 
-def _orbit(rs: RootSystem, gather: np.ndarray, start: np.ndarray) -> np.ndarray:
+def _orbit(rs: RootSystem, start: np.ndarray) -> np.ndarray:
     """The keys of the W-orbit of the one-row start, in BFS order."""
     prev, frontier, layers = start[:0], start, []
     while len(frontier):
         layers.append(frontier)
-        cand = _images(frontier, gather, rs.d)
+        cand = _images(rs, frontier)
         prev, frontier = frontier, _fresh(cand, np.concatenate([prev, frontier]))
     return np.concatenate(layers)
-
-
-def flat_orbit(rs: RootSystem, mask: int) -> list[int]:
-    """The masks of the W-orbit of one flat, in BFS order from it."""
-    return key_masks(_orbit(rs, _gather(rs), _keys(rs, [mask])))
 
 
 def parabolic_flat(rs: RootSystem, simple_set: int) -> int:
@@ -323,12 +332,11 @@ def walk_level(
     A flat's id is the first id plus its place; the first id is the
     closed-form count of the flats of lower rank.
     """
-    gather = _gather(rs)
     starts = {parabolic_flat(rs, sum(1 << j for j in J)) for J in combinations(range(rs.rank), k)}
     todo = _keys(rs, sorted(starts))
     orbits = []
     while len(todo):
-        orbits.append(_orbit(rs, gather, todo[:1]))
+        orbits.append(_orbit(rs, todo[:1]))
         todo = _fresh(todo, orbits[-1])
     walk = np.concatenate(orbits)
     order = _order(walk)
@@ -343,10 +351,12 @@ def walk_level(
     return first, keys, label, list(zip(least.tolist(), size.tolist(), key_masks(keys[least])))
 
 
-def flat_level(rs: RootSystem, k: int) -> tuple[int, list[int]]:
-    """The id of the first rank-k flat and the sorted rank-k masks."""
+def flat_id(rs: RootSystem, k: int, mask: int) -> int | None:
+    """The id of the rank-k flat with this mask, or None.  The keys are searched
+    as they are: as ints, E8's rank 6 took `member` from 198 to 383 MB peak."""
     first, keys, _, _ = walk_level(rs, k)
-    return first, key_masks(keys)
+    place = np.flatnonzero((keys == _keys(rs, [mask])).all(axis=1)).tolist()
+    return first + place[0] if place else None
 
 
 def walk_rank_counts(rs: RootSystem, *, max_flats: int | None = DEFAULT_FLAT_BUDGET) -> list[int]:
@@ -358,7 +368,7 @@ def walk_rank_counts(rs: RootSystem, *, max_flats: int | None = DEFAULT_FLAT_BUD
 def _moves(rs: RootSystem, keys: np.ndarray) -> np.ndarray:
     """Row s, column x: the place of s(x) in the sorted level."""
     n, r = len(keys), rs.rank
-    images = _images(keys, _gather(rs), rs.d).reshape(n, r, -1)
+    images = _images(rs, keys).reshape(n, r, -1)
     moves = np.empty((r, n), np.int64)
     for s in range(r):
         moves[s, _order(images[:, s])] = np.arange(n)
@@ -416,7 +426,7 @@ def build_lattice(
         order = np.lexsort((hi, lo))
         lo_ids = map(ids.__getitem__, (first + lo[order]).tolist())
         covers += zip(lo_ids, map(ids.__getitem__, (upper + hi[order]).tolist()))
-    return IntersectionLattice(rs, levels, covers)
+    return IntersectionLattice(rs, levels, covers, [label for _, _, label, _ in walks])
 
 
 def enumerate_rank_counts(

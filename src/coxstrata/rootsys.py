@@ -270,13 +270,10 @@ class RootSystem:
             out.append(pos)
         return out
 
-    def apply_perm_to_mask(self, perm: list[int], mask: int) -> int:
-        out = 0
-        while mask:
-            p = (mask & -mask).bit_length() - 1
-            out |= 1 << perm[p]
-            mask &= mask - 1
-        return out
+    @cached_property
+    def gather(self) -> np.ndarray:
+        """Row s, column q: the position that simple reflection s sends to q."""
+        return np.array([np.argsort(self.positive_perm(s)) for s in self.simples])
 
     @cached_property
     def pair_sums(self) -> list[list[int]]:

@@ -3,9 +3,9 @@
 Group elements are never materialized: everything is driven by the
 simple-reflection generators and the orbit-stabilizer relation for
 stabilizer orders.  Every W-orbit comes from the one numpy orbit engine
-in `flats`: whole levels from `flats.walk_level`, whose orbit labels
-`typed_level` types once per orbit, and the single-flat query
-`orbit_of_flat` from `flats.flat_orbit`.
+in `flats`, as `flats.walk_level`'s orbit labels: `typed_level` types a
+walked level once per orbit, and `orbit_of_flat` and `flat_types` read
+the labels that the lattice keeps (`IntersectionLattice.orbit_labels`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import InvariantViolation, LatticeMismatch, MalformedWord
-from .flats import IntersectionLattice, flat_orbit, walk_level
+from .flats import IntersectionLattice, walk_level
 from .rootsys import CartanType, RootSystem, classify_subsystem
 
 _EXCEPTIONAL_ORDERS = {
@@ -47,10 +47,12 @@ def weyl_order(ctype: CartanType | str) -> int:
 
 
 def orbit_of_flat(rs: RootSystem, lat: IntersectionLattice, fid: int) -> set[int]:
-    """Flat ids reachable from fid under the simple reflections."""
+    """The W-orbit of flat fid: the ids of its rank that carry its label."""
     if lat.rs.ctype != rs.ctype:
         raise LatticeMismatch(f"lattice of {lat.rs.ctype} given with a root system of {rs.ctype}")
-    return set(map(lat.id_of.__getitem__, flat_orbit(rs, lat.flat(fid).mask)))
+    rank = lat.flat(fid).rank
+    label, first = lat.orbit_labels(rank), lat.by_rank[rank][0]
+    return set((first + np.flatnonzero(label == label[fid - first])).tolist())
 
 
 @dataclass(frozen=True)
@@ -86,10 +88,13 @@ def typed_level(
     return first, keys, label, orbits, [classify_subsystem(rs, mask) for _, _, mask in orbits]
 
 
-def flat_types(rs: RootSystem) -> Iterator[CartanType]:
-    """The Cartan type of every flat, in id order."""
-    for k in range(rs.rank + 1):
-        _, _, label, _, types = typed_level(rs, k)
+def flat_types(lat: IntersectionLattice) -> Iterator[CartanType]:
+    """The Cartan type of every flat, in id order; each W-orbit is
+    classified once, at its least place, the first place with its label."""
+    for k, ids in enumerate(lat.by_rank):
+        label = lat.orbit_labels(k)
+        least = np.unique(label, return_index=True)[1].tolist()
+        types = [classify_subsystem(lat.rs, lat.flats[ids[p]].mask) for p in least]
         yield from map(types.__getitem__, label.tolist())
 
 

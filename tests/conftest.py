@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from coxstrata import build_lattice, build_root_system
+from coxstrata.flats import key_masks, walk_level
 
 # Types up to rank 4, plus G2 and F4, for the property tests.
 PROPERTY_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
@@ -24,10 +25,26 @@ def lattice_of():
     return get
 
 
+def flat_level(rs, k):
+    """The id of the first rank-k flat and the sorted rank-k masks, from the walk."""
+    first, keys, _, _ = walk_level(rs, k)
+    return first, key_masks(keys)
+
+
 def pos_of_coords(rs, coords):
     """Positive position of the root with the given coordinates."""
     idx = rs.index[tuple(coords)]
     return rs.pos_of.get(idx, rs.pos_of.get(rs.neg[idx]))
+
+
+def apply_perm_to_mask(perm, mask):
+    """Reference: the image of a mask under a permutation of positive positions."""
+    out = 0
+    while mask:
+        p = (mask & -mask).bit_length() - 1
+        out |= 1 << perm[p]
+        mask &= mask - 1
+    return out
 
 
 def orbit_masks(rs, mask):
@@ -40,7 +57,7 @@ def orbit_masks(rs, mask):
         new = []
         for m in frontier:
             for perm in perms:
-                image = rs.apply_perm_to_mask(perm, m)
+                image = apply_perm_to_mask(perm, m)
                 if image not in seen:
                     seen.add(image)
                     new.append(image)

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 import pytest
 
-from conftest import pos_of_coords
+from conftest import apply_perm_to_mask, pos_of_coords
 from coxstrata.betti import (
     EXCEPTIONAL_ROWS,
     bell,
@@ -181,7 +181,7 @@ def test_criterion_7_poset_dictionary(lattice_of):
         # equivariance of the join on all pairs, for every generator
         perms = [rs.positive_perm(s) for s in rs.simples]
         for perm in perms:
-            image = {f.id: lat.id_of[rs.apply_perm_to_mask(perm, f.mask)] for f in flats}
+            image = {f.id: lat.id_of[apply_perm_to_mask(perm, f.mask)] for f in flats}
             for x in flats:
                 assert lat.flat(image[x.id]).rank == x.rank
                 for y in flats:

@@ -11,12 +11,13 @@ from pathlib import Path
 
 import pytest
 
+from conftest import flat_level
 from coxstrata import cli
 from coxstrata.betti import EXCEPTIONAL_ROWS, betti_row_closed_form
 from coxstrata.cli import _cup_table, load_lattice_cache, main, save_lattice_cache
 from coxstrata.cohomology import GradedClass, cup
 from coxstrata.errors import ResourceLimit
-from coxstrata.flats import build_lattice, flat_level
+from coxstrata.flats import build_lattice, walk_level
 from coxstrata.rootsys import build_root_system, classify_subsystem
 
 
@@ -275,6 +276,27 @@ def test_export_equals_per_flat_classification_cold_and_warm(name, tmp_path, mon
         assert capsys.readouterr().out == expected[fmt], (fmt, "warm")
 
 
+@pytest.mark.parametrize("name", ["B3", "F4"])
+def test_export_walks_each_rank_once_cold_and_warm(name, tmp_path, monkeypatch, capsys):
+    # The cold export reads the orbit labels that build_lattice kept; the
+    # warm one walks each rank once, when its types are first needed.
+    walked = []
+
+    def counting(rs, k):
+        walked.append(k)
+        return walk_level(rs, k)
+
+    monkeypatch.setattr("coxstrata.flats.walk_level", counting)
+    monkeypatch.setattr("coxstrata.weyl.walk_level", counting)
+    rank = build_root_system(name).rank
+    for fmt in ("json", "csv"):
+        for _ in ("cold", "warm"):
+            walked.clear()
+            assert main(["lattice", name, "--export", fmt, "--cache-dir", str(tmp_path / fmt)]) == 0
+            assert sorted(walked) == list(range(rank + 1))
+    assert capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "D5", "G2", "F4"]
 )
@@ -335,9 +357,9 @@ def _over_budget(*args, **kwargs):
     [
         (["betti", "A3", "--method", "enum"], True),
         (["lattice", "A3"], True),
-        (["member", "A3", "--point", "1,2,3,4,5,6"], False),
-        (["good", "A3"], False),
-        (["orbits", "A3"], False),
+        (["member", "A3", "--point", "1,2,3,4,5,6"], True),
+        (["good", "A3"], True),
+        (["orbits", "A3"], True),
         (["cup", "A3"], False),
         (["verify", "A3"], True),
     ],
@@ -435,6 +457,21 @@ def test_verify_fails_when_the_sweep_disagrees_with_the_walk(monkeypatch, capsys
         "FAIL A3:bell-row-sum  sum=14",
         "FAIL A3:orbit-sizes-sum-to-rank-counts  [1, 6, 7, 1]",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["member", "A3", "--point", "1,2,3,4,5,6"], ["good", "A3"], ["orbits", "A3"]],
+    ids=lambda argv: argv[0],
+)
+def test_allow_huge_lifts_the_budget_of_the_walking_commands(argv, monkeypatch, capsys):
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    budgets = []
+    monkeypatch.setattr("coxstrata.cli.check_flat_budget", lambda rs, cap: budgets.append(cap))
+    assert main([*argv, "--allow-huge"]) == 0
+    assert capsys.readouterr().out == expected
+    assert budgets == [None]
 
 
 def test_verify_allow_huge_lifts_the_lattice_budget(monkeypatch):
@@ -593,7 +630,7 @@ def test_good_equals_per_flat_classification(name, capsys):
 
 
 def test_member_mask_missing_from_its_level_is_an_invariant_violation(monkeypatch, capsys):
-    monkeypatch.setattr("coxstrata.cli.flat_level", lambda rs, k: (0, []))
+    monkeypatch.setattr("coxstrata.cli.flat_id", lambda rs, k, mask: None)
     assert main(["member", "A2", "--point", "1,2,3"]) == 2
     assert capsys.readouterr().err == "error: stratum mask 7 is not a rank-2 flat\n"
 

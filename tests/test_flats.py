@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import coxstrata
+from conftest import flat_level
 from coxstrata.betti import betti_row_closed_form
 from coxstrata.errors import (
     InvalidId,
@@ -24,6 +25,7 @@ from coxstrata.flats import (
     char_poly,
     check_flat_budget,
     enumerate_rank_counts,
+    flat_id,
     join,
     leq,
     mobius_table,
@@ -294,6 +296,26 @@ def test_walk_and_transported_covers_equal_expansion_of_every_flat(name, lattice
     levels, covers = _lattice_by_expansion(rs)
     assert [[lat.flats[i].mask for i in ids] for ids in lat.by_rank] == levels
     assert lat.covers == covers
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "F4", "E8"])
+def test_flat_id_finds_each_flat_of_its_rank_and_nothing_else(name):
+    # E8's masks are two uint64 words; its ranks 0-2 stand for the whole lattice.
+    rs = build_root_system(name)
+    rng = random.Random(7)
+    first = 0
+    for k in range(3 if name == "E8" else rs.rank + 1):
+        offset, level = flat_level(rs, k)
+        assert offset == first
+        places = rng.sample(range(len(level)), min(len(level), 5))
+        for place, mask in ((p, level[p]) for p in places):
+            assert flat_id(rs, k, mask) == offset + place
+            if k < rs.rank:
+                assert flat_id(rs, k + 1, mask) is None
+            if bin(mask).count("1") > 2:
+                # A flat with one root dropped is no flat.
+                assert flat_id(rs, k, mask & (mask - 1)) is None
+        first += len(level)
 
 
 def test_workers_do_not_change_output():

@@ -6,11 +6,11 @@ from itertools import combinations
 
 import pytest
 
-from conftest import orbit_masks, pos_of_coords
+from conftest import apply_perm_to_mask, flat_level, orbit_masks, pos_of_coords
 from coxstrata import build_root_system
 from coxstrata.betti import betti_row_closed_form
-from coxstrata.errors import LatticeMismatch, MalformedWord
-from coxstrata.flats import flat_level, join, whitney_second
+from coxstrata.errors import InvariantViolation, LatticeMismatch, MalformedWord
+from coxstrata.flats import IntersectionLattice, join, whitney_second
 from coxstrata.rootsys import classify_subsystem, closure
 from coxstrata.strata import ExtendedPoint
 from coxstrata.weyl import (
@@ -158,11 +158,42 @@ def test_parabolic_summary_equals_partition_of_lattice_levels(name, lattice_of):
         assert masks == [lat.flat(fid).mask for fid in ids]
 
 
-@pytest.mark.parametrize("name", ["A4", "B4", "C3", "D4", "D5", "G2", "F4"])
+def _levels(lat):
+    return [[lat.flats[fid].mask for fid in ids] for ids in lat.by_rank]
+
+
+def _unlabelled(lat):
+    """The lattice from its levels and covers alone, as a cache load gives it."""
+    return IntersectionLattice(lat.rs, _levels(lat), lat.covers)
+
+
+@pytest.mark.parametrize("name", ["A3", "A4", "B3", "B4", "C3", "D4", "D5", "G2", "F4"])
 def test_orbit_of_flat_equals_python_int_orbits(name, lattice_of):
     rs, lat = lattice_of(name)
+    walked = _unlabelled(lat)
     for f in lat.flats:
-        assert orbit_of_flat(rs, lat, f.id) == {lat.id_of[m] for m in orbit_masks(rs, f.mask)}
+        expected = {lat.id_of[m] for m in orbit_masks(rs, f.mask)}
+        assert orbit_of_flat(rs, lat, f.id) == expected
+        assert orbit_of_flat(rs, walked, f.id) == expected
+
+
+@pytest.mark.parametrize("change", ["lacks", "extra"])
+def test_a_level_that_differs_from_the_walk_has_no_orbits(change, lattice_of):
+    rs, lat = lattice_of("B3")
+    levels = _levels(lat)
+    if change == "lacks":
+        del levels[2][3]
+    else:
+        # A rank-2 flat with one root dropped is no flat.
+        extra = next(m & (m - 1) for m in levels[2] if bin(m).count("1") > 2)
+        assert extra not in levels[2]
+        levels[2] = sorted(levels[2] + [extra])
+    bad = IntersectionLattice(rs, levels, [])
+    assert orbit_of_flat(rs, bad, bad.by_rank[1][0]) == orbit_of_flat(rs, lat, lat.by_rank[1][0])
+    with pytest.raises(InvariantViolation, match="rank-2 level differs from the walk of B3"):
+        orbit_of_flat(rs, bad, bad.by_rank[2][0])
+    with pytest.raises(InvariantViolation):
+        list(flat_types(bad))
 
 
 def test_orbit_of_flat_refuses_a_lattice_of_another_type(lattice_of):
@@ -184,7 +215,8 @@ def test_orbit_labels_partition_each_level_into_w_orbits(name, lattice_of):
             assert {first + q for q, lab in enumerate(labels) if lab == i} == orbit
             assert len(orbit) == size
             assert types[i] == classify_subsystem(rs, mask)
-    assert list(flat_types(rs)) == [classify_subsystem(rs, f.mask) for f in lat.flats]
+    expected = [classify_subsystem(rs, f.mask) for f in lat.flats]
+    assert list(flat_types(lat)) == list(flat_types(_unlabelled(lat))) == expected
 
 
 @pytest.mark.parametrize("name", ["E8", "B9"])
@@ -216,9 +248,9 @@ def test_join_is_equivariant(lattice_of):
             x, y = rng.randrange(len(lat)), rng.randrange(len(lat))
             perm = perms[rng.randrange(len(perms))]
             j = join(lat, x, y)
-            wx = lat.id_of[rs.apply_perm_to_mask(perm, lat.flat(x).mask)]
-            wy = lat.id_of[rs.apply_perm_to_mask(perm, lat.flat(y).mask)]
-            wj = lat.id_of[rs.apply_perm_to_mask(perm, lat.flat(j).mask)]
+            wx = lat.id_of[apply_perm_to_mask(perm, lat.flat(x).mask)]
+            wy = lat.id_of[apply_perm_to_mask(perm, lat.flat(y).mask)]
+            wj = lat.id_of[apply_perm_to_mask(perm, lat.flat(j).mask)]
             assert join(lat, wx, wy) == wj
 
 
