@@ -21,7 +21,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from .errors import InvariantViolation, MalformedDescriptor, NotClassical, NotGood, StarViolation
-from .flats import IntersectionLattice, key_masks, walk_level
+from .flats import IntersectionLattice, key_masks, parabolic_flat, walk_level
 from .rootsys import (
     CartanType,
     RootSystem,
@@ -75,14 +75,13 @@ def bds_covers_all(rs: RootSystem) -> bool:
 
 
 def classical_omit_node(rs: RootSystem, i: int) -> int:
-    """Subsystem generated by the simple roots with the i-th one removed."""
+    """Subsystem generated by the simple roots but the i-th: their flat Phi_J."""
     family = rs.ctype.factors[0][0]
     if family not in "ABCD":
         raise NotClassical(f"{rs.ctype} is not classical")
     if not 1 <= i <= rs.rank:
         raise MalformedDescriptor(f"node {i} outside 1..{rs.rank}")
-    keep = [idx for n, idx in enumerate(rs.simples, start=1) if n != i]
-    return additive_closure(rs, keep)
+    return parabolic_flat(rs, (1 << rs.rank) - 1 - (1 << (i - 1)))
 
 
 # -- descriptor plumbing -----------------------------------------------------

@@ -4,7 +4,10 @@ All classical and exceptional irreducible types are realized in a fixed
 ambient Z^m (half-integer families uniformly doubled), generated by
 reflection closure from the simple roots.  Root subsets are bit masks
 over positive-root positions; every subset operation treats the set as
-closed under negation.
+closed under negation, and refuses a mask or root index out of range.
+Two tables answer every W action and closedness question: `gather`, each
+simple reflection as a permutation of positive positions, and
+`pair_sums`, the roots among alpha_p +- alpha_q.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidRank, InvariantViolation, MagnitudeOverflow, NotSpanClosed
+from .errors import InvalidId, InvalidRank, InvariantViolation, MagnitudeOverflow, NotSpanClosed
 from .linalg import bareiss_rank, integer_kernel
 
 RANK_BOUNDS = {
@@ -218,28 +221,28 @@ class RootSystem:
         )
         self._row_l1 = max(sum(map(abs, v)) for v in self.roots)
         self.full_mask = (1 << self.d) - 1
-        self._refl_perm: dict[int, list[int]] = {}
 
     # -- subset plumbing ------------------------------------------------
 
     def as_mask(self, subset: int | Iterable[int]) -> int:
         """Normalize a positive-position mask or iterable of root indices."""
         if isinstance(subset, int):
+            if not 0 <= subset <= self.full_mask:
+                raise InvalidId(f"mask {subset} outside 0..{self.full_mask}")
             return subset
         mask = 0
         for idx in subset:
-            pos = self.pos_of.get(idx)
-            if pos is None:
-                pos = self.pos_of[self.neg[idx]]
-            mask |= 1 << pos
+            if not 0 <= idx < 2 * self.d:
+                raise InvalidId(f"root index {idx} outside 0..{2 * self.d - 1}")
+            mask |= 1 << self.position(idx)
         return mask
+
+    def position(self, idx: int) -> int:
+        """The positive position of root idx or of its negative."""
+        return self.pos_of[max(idx, self.neg[idx])]  # positives hold the upper indices
 
     def positive_indices(self, mask: int) -> list[int]:
         return [self.positives[p] for p in range(self.d) if mask >> p & 1]
-
-    def root_indices(self, mask: int) -> list[int]:
-        pos = self.positive_indices(mask)
-        return sorted(pos + [self.neg[i] for i in pos])
 
     def positions(self, mask: int) -> list[int]:
         out = []
@@ -249,31 +252,14 @@ class RootSystem:
             mask ^= low
         return out
 
-    def reflection_perm(self, mirror: int) -> list[int]:
-        """Permutation i -> index of the mirror-reflection of root i."""
-        perm = self._refl_perm.get(mirror)
-        if perm is None:
-            mv = self.roots[mirror]
-            perm = [self.index[_reflect_coords(v, mv)] for v in self.roots]
-            self._refl_perm[mirror] = perm
-        return perm
-
-    def positive_perm(self, mirror: int) -> list[int]:
-        """Reflection as a permutation of positive positions (signs dropped)."""
-        perm = self.reflection_perm(mirror)
-        out = []
-        for idx in self.positives:
-            image = perm[idx]
-            pos = self.pos_of.get(image)
-            if pos is None:
-                pos = self.pos_of[self.neg[image]]
-            out.append(pos)
-        return out
-
     @cached_property
     def gather(self) -> np.ndarray:
-        """Row s, column q: the position that simple reflection s sends to q."""
-        return np.array([np.argsort(self.positive_perm(s)) for s in self.simples])
+        """Row s, column q: the position of +-s(alpha_q) for simple reflection s.
+
+        s is an involution, so that is also the position s sends to q.
+        """
+        rows = [[self.position(reflect(self, s, t)) for t in self.positives] for s in self.simples]
+        return np.array(rows)
 
     @cached_property
     def pair_sums(self) -> list[list[int]]:
@@ -287,8 +273,8 @@ class RootSystem:
                 mask = 0
                 for w in (tuple(a + b for a, b in zip(u, v)), tuple(a - b for a, b in zip(u, v))):
                     idx = self.index.get(w)
-                    if idx is not None:  # positives hold the upper indices
-                        mask |= 1 << self.pos_of[max(idx, self.neg[idx])]
+                    if idx is not None:
+                        mask |= 1 << self.position(idx)
                 row.append(mask)
             table.append(row)
         return table
@@ -338,21 +324,24 @@ def closure(rs: RootSystem, subset: int | Iterable[int]) -> int:
     return rs.span_mask(vectors)
 
 
-def is_closed(rs: RootSystem, subset: int | Iterable[int]) -> bool:
-    """Additive closedness of a negation-closed root subset.
+def _root_sums(rs: RootSystem, mask: int) -> int:
+    """The roots among the sums of the negation-closed set's roots.
 
-    The sums of its roots that can be roots are +-(alpha_p +- alpha_q)
-    over pairs of its positives (2 alpha and 0 never are), so it is closed
-    iff the roots among those lie in it.
+    Those sums are +-(alpha_p +- alpha_q) over pairs of its positions
+    (2 alpha and 0 are never roots): the union of their pair_sums entries.
     """
-    mask = rs.as_mask(subset)
-    positions = rs.positions(mask)
+    sums, positions = 0, rs.positions(mask)
     for i, p in enumerate(positions):
         row = rs.pair_sums[p]
         for q in positions[i + 1 :]:
-            if row[q] & ~mask:
-                return False
-    return True
+            sums |= row[q]
+    return sums
+
+
+def is_closed(rs: RootSystem, subset: int | Iterable[int]) -> bool:
+    """Additive closedness of a negation-closed root subset."""
+    mask = rs.as_mask(subset)
+    return not _root_sums(rs, mask) & ~mask
 
 
 def subsystem_rank(rs: RootSystem, subset: int | Iterable[int]) -> int:
@@ -364,35 +353,24 @@ def subsystem_rank(rs: RootSystem, subset: int | Iterable[int]) -> int:
 
 def additive_closure(rs: RootSystem, subset: int | Iterable[int]) -> int:
     """Smallest negation-closed, additively closed subset containing the input."""
-    mask = rs.as_mask(subset)
-    members = set(rs.root_indices(mask))
-    changed = True
-    while changed:
-        changed = False
-        current = [rs.roots[i] for i in members]
-        for u in current:
-            for v in current:
-                s = tuple(a + b for a, b in zip(u, v))
-                idx = rs.index.get(s)
-                if idx is not None and idx not in members:
-                    members.add(idx)
-                    members.add(rs.neg[idx])
-                    changed = True
-    return rs.as_mask(members)
+    mask, grown = 0, rs.as_mask(subset)
+    while grown != mask:
+        mask = grown
+        grown |= _root_sums(rs, mask)
+    return mask
 
 
 def classify_subsystem(rs: RootSystem, subset: int | Iterable[int]) -> CartanType:
     """Cartan type of a closed subsystem, as a canonically ordered product.
 
     Any additively closed, negation-closed subset is itself a root
-    system; span-closed inputs (flats) are the common case.  Its
+    system, and every other input raises NotSpanClosed; span-closed
+    inputs (flats) are additively closed and the common case.  Its
     irreducible components are the classes of its positive roots under
     "not orthogonal", and each is named by its rank and root counts.
     """
     mask = rs.as_mask(subset)
-    if mask == 0:
-        return CartanType(())
-    if closure(rs, mask) != mask and not is_closed(rs, mask):
+    if not is_closed(rs, mask):
         raise NotSpanClosed("subsystem is not additively closed")
     left = [rs.roots[i] for i in rs.positive_indices(mask)]
     factors = []

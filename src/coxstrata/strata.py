@@ -176,9 +176,7 @@ def limit_point(
     the construction happens inside that flat instead.
     """
     mask = rs.as_mask(subsystem)
-    lam0_pos = rs.pos_of.get(lam0)
-    if lam0_pos is None:
-        lam0_pos = rs.pos_of[rs.neg[lam0]]
+    lam0_pos = rs.position(lam0)
     basis = [rs.roots[rs.positives[p]] for p in witness.basis_positions]
     ext_basis = basis + [rs.roots[rs.positives[lam0_pos]]]
     ext_values = list(witness.values) + [Fraction(t)]

@@ -1,9 +1,11 @@
 """Reflection-group action on roots, flats and points.
 
 Group elements are never materialized: everything is driven by the
-simple-reflection generators and the orbit-stabilizer relation for
-stabilizer orders.  Every W-orbit comes from the one numpy orbit engine
-in `flats`, as `flats.walk_level`'s orbit labels: `typed_level` types a
+simple-reflection generators, as the root system's `gather` table of
+position permutations, and the orbit-stabilizer relation for stabilizer
+orders.  `weyl_act_point` reads one row of that table per letter.
+Every W-orbit comes from the one numpy orbit engine in `flats`, as
+`flats.walk_level`'s orbit labels: `typed_level` types a
 walked level once per orbit, and `orbit_of_flat` and `flat_types` read
 the labels that the lattice keeps (`IntersectionLattice.orbit_labels`).
 """
@@ -119,7 +121,7 @@ def weyl_act_point(rs: RootSystem, word: Sequence[int], point):
     The word lists 1-based simple-root indices; the leftmost letter acts
     last.  The component at a positive root lambda becomes the component
     at w^-1(lambda), negated when w^-1(lambda) is negative (with -inf
-    treated as inf).
+    treated as inf).  Each letter reads its row of `rs.gather`.
     """
     from .strata import ExtendedPoint
 
@@ -129,16 +131,8 @@ def weyl_act_point(rs: RootSystem, word: Sequence[int], point):
     point.check_length(rs.d)
     values = list(point.values)
     for letter in reversed(word):
-        mirror = rs.simples[letter - 1]
-        perm = rs.reflection_perm(mirror)
-        new_values = []
-        for pos in range(rs.d):
-            image = perm[rs.positives[pos]]
-            qpos = rs.pos_of.get(image)
-            if qpos is not None:
-                new_values.append(values[qpos])
-            else:
-                val = values[rs.pos_of[rs.neg[image]]]
-                new_values.append(None if val is None else -val)
-        values = new_values
+        # s_i permutes the positive roots other than alpha_i and negates alpha_i.
+        values = [values[q] for q in rs.gather[letter - 1].tolist()]
+        own = rs.pos_of[rs.simples[letter - 1]]
+        values[own] = None if values[own] is None else -values[own]
     return ExtendedPoint(tuple(values))

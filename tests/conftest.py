@@ -6,6 +6,7 @@ import pytest
 
 from coxstrata import build_lattice, build_root_system
 from coxstrata.flats import key_masks, walk_level
+from coxstrata.rootsys import reflect
 
 # Types up to rank 4, plus G2 and F4, for the property tests.
 PROPERTY_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
@@ -33,8 +34,38 @@ def flat_level(rs, k):
 
 def pos_of_coords(rs, coords):
     """Positive position of the root with the given coordinates."""
-    idx = rs.index[tuple(coords)]
+    return index_position(rs, rs.index[tuple(coords)])
+
+
+def index_position(rs, idx):
+    """Positive position of root idx or of its negative."""
     return rs.pos_of.get(idx, rs.pos_of.get(rs.neg[idx]))
+
+
+def root_indices(rs, mask):
+    """Reference: the sorted indices of the mask's roots and their negatives."""
+    pos = rs.positive_indices(mask)
+    return sorted(pos + [rs.neg[i] for i in pos])
+
+
+def additive_closure_by_tuple_sums(rs, indices):
+    """Reference: the mask of the smallest negation-closed set containing the
+    root indices that holds every root sum of its members, the sums taken
+    as coordinate tuples."""
+    members = set(indices) | {rs.neg[i] for i in indices}
+    while True:
+        current = [rs.roots[i] for i in members]
+        sums = {rs.index.get(tuple(a + b for a, b in zip(u, v))) for u in current for v in current}
+        new = sums - members - {None}
+        if not new:
+            return sum({1 << index_position(rs, i) for i in members})
+        members |= new | {rs.neg[i] for i in new}
+
+
+def positive_perms(rs):
+    """Reference: each simple reflection as a permutation of positive
+    positions (signs dropped), from `reflect` on coordinates."""
+    return [[index_position(rs, reflect(rs, s, i)) for i in rs.positives] for s in rs.simples]
 
 
 def apply_perm_to_mask(perm, mask):
@@ -50,7 +81,7 @@ def apply_perm_to_mask(perm, mask):
 def orbit_masks(rs, mask):
     """Reference: masks reachable from mask under the simple reflections,
     by a breadth-first search over Python-int masks."""
-    perms = [rs.positive_perm(s) for s in rs.simples]
+    perms = positive_perms(rs)
     seen = {mask}
     frontier = [mask]
     while frontier:

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 import pytest
 
-from conftest import apply_perm_to_mask, pos_of_coords
+from conftest import apply_perm_to_mask, pos_of_coords, positive_perms
 from coxstrata.betti import (
     EXCEPTIONAL_ROWS,
     bell,
@@ -179,7 +179,7 @@ def test_criterion_7_poset_dictionary(lattice_of):
                 span_incl = subsystem_rank(rs, x.mask | y.mask) == y.rank
                 assert leq(lat, x.id, y.id) == span_incl, (name, x.id, y.id)
         # equivariance of the join on all pairs, for every generator
-        perms = [rs.positive_perm(s) for s in rs.simples]
+        perms = positive_perms(rs)
         for perm in perms:
             image = {f.id: lat.id_of[apply_perm_to_mask(perm, f.mask)] for f in flats}
             for x in flats:

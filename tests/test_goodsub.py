@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import orbit_masks
+from conftest import additive_closure_by_tuple_sums, orbit_masks
 from coxstrata.betti import f_closed_form
 from coxstrata.errors import MalformedDescriptor, NotClassical, NotGood, StarViolation
 from coxstrata.flats import whitney_second
@@ -133,6 +133,28 @@ def test_classical_omit_node(lattice_of):
         classical_omit_node(g2, 1)
     with pytest.raises(MalformedDescriptor):
         classical_omit_node(b3, 4)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"A{r}" for r in range(1, 9)]
+    + [f"{family}{r}" for family in "BC" for r in range(2, 7)]
+    + [f"D{r}" for r in range(3, 9)],
+)
+def test_classical_omit_node_is_the_closure_of_the_other_simple_roots(name):
+    rs = build_root_system(name)
+    for i in range(1, rs.rank + 1):
+        others = [s for n, s in enumerate(rs.simples, start=1) if n != i]
+        assert classical_omit_node(rs, i) == closure(rs, others), i
+
+
+@pytest.mark.parametrize("name", ["A1", "A4", "B3", "C4", "D5", "G2", "F4", "E6", "E7", "E8"])
+def test_bds_candidates_match_the_tuple_sum_closure(name):
+    rs = build_root_system(name)
+    nodes = [rs.index[v] for v in rs.affine_roots]
+    for (i, j), mask in bds_candidates(rs):
+        keep = [node for n, node in enumerate(nodes) if n not in (i, j)]
+        assert mask == additive_closure_by_tuple_sums(rs, keep), (i, j)
 
 
 def test_star_check_type_a():

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PROPERTY_TYPES, fraction_solve
-from coxstrata.errors import InvalidRank, InvariantViolation, NotSpanClosed
+from conftest import PROPERTY_TYPES, additive_closure_by_tuple_sums, fraction_solve, root_indices
+from coxstrata.errors import InvalidId, InvalidRank, InvariantViolation, NotSpanClosed
+from coxstrata.goodsub import is_k_step_good
 from coxstrata.rootsys import (
     CartanType,
     _irreducible_type,
@@ -215,7 +216,7 @@ def test_is_closed_examples():
 
 def _is_closed_by_tuple_sums(rs, mask):
     """Reference: the sum of every pair of member roots, as coordinate tuples."""
-    members = {rs.roots[i] for i in rs.root_indices(mask)}
+    members = {rs.roots[i] for i in root_indices(rs, mask)}
     for u in members:
         for v in members:
             s = tuple(a + b for a, b in zip(u, v))
@@ -230,7 +231,7 @@ def test_is_closed_agrees_with_tuple_sums_on_every_subset(name):
     for mask in range(1 << rs.d):
         expected = _is_closed_by_tuple_sums(rs, mask)
         assert is_closed(rs, mask) == expected, mask
-        assert is_closed(rs, rs.root_indices(mask)) == expected, mask
+        assert is_closed(rs, root_indices(rs, mask)) == expected, mask
         assert is_closed(rs, [rs.neg[i] for i in rs.positive_indices(mask)]) == expected, mask
 
 
@@ -319,6 +320,48 @@ def test_additive_closure_vs_span_closure():
     longs = rs.as_mask([rs.index[(1, -1)], rs.index[(1, 1)]])
     assert additive_closure(rs, longs) == longs
     assert closure(rs, longs) == rs.full_mask
+
+
+@pytest.mark.parametrize("name", PROPERTY_TYPES + ["E6"])
+def test_additive_closure_matches_tuple_sums(name):
+    rs = build_root_system(name)
+    rng = random.Random(name)
+    for _ in range(60):
+        indices = rng.sample(range(2 * rs.d), rng.randrange(min(6, 2 * rs.d) + 1))
+        assert additive_closure(rs, indices) == additive_closure_by_tuple_sums(rs, indices), indices
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4"])
+def test_classify_refuses_exactly_the_subsets_the_span_guard_refused(name):
+    # The guard was `closure(mask) != mask and not closed`; span-closed sets
+    # are additively closed, so additive closedness alone decides.
+    rs = build_root_system(name)
+    for mask in range(1 << rs.d):
+        refused = closure(rs, mask) != mask and not _is_closed_by_tuple_sums(rs, mask)
+        try:
+            classify_subsystem(rs, mask)
+        except NotSpanClosed:
+            assert refused, mask
+        else:
+            assert not refused, mask
+
+
+def test_out_of_range_subsets_are_refused():
+    rs = build_root_system("A2")  # positions 0..2, root indices 0..5
+    calls = [
+        closure,
+        is_closed,
+        classify_subsystem,
+        additive_closure,
+        subsystem_rank,
+        lambda rs, subset: is_k_step_good(rs, subset, 1),
+    ]
+    for call in calls:
+        for bad in (1 << 5, 1 << 3, -1, [99], [6], [-1], [0, 6]):
+            with pytest.raises(InvalidId):
+                call(rs, bad)
+        call(rs, rs.full_mask)
+        call(rs, [0, 5])
 
 
 def test_deterministic_indexing():

@@ -6,12 +6,20 @@ from itertools import combinations
 
 import pytest
 
-from conftest import apply_perm_to_mask, flat_level, orbit_masks, pos_of_coords
+from conftest import (
+    PROPERTY_TYPES,
+    apply_perm_to_mask,
+    flat_level,
+    index_position,
+    orbit_masks,
+    pos_of_coords,
+    positive_perms,
+)
 from coxstrata import build_root_system
 from coxstrata.betti import betti_row_closed_form
 from coxstrata.errors import InvariantViolation, LatticeMismatch, MalformedWord
 from coxstrata.flats import IntersectionLattice, join, whitney_second
-from coxstrata.rootsys import classify_subsystem, closure
+from coxstrata.rootsys import classify_subsystem, closure, reflect
 from coxstrata.strata import ExtendedPoint
 from coxstrata.weyl import (
     OrbitRecord,
@@ -243,7 +251,7 @@ def test_join_is_equivariant(lattice_of):
     rng = random.Random(13)
     for name in ["A3", "B3", "G2"]:
         rs, lat = lattice_of(name)
-        perms = [rs.positive_perm(s) for s in rs.simples]
+        perms = positive_perms(rs)
         for _ in range(150):
             x, y = rng.randrange(len(lat)), rng.randrange(len(lat))
             perm = perms[rng.randrange(len(perms))]
@@ -290,6 +298,35 @@ def test_point_action_is_group_action(lattice_of):
     assert weyl_act_point(rs, [1, 2, 1, 2], point) == weyl_act_point(
         rs, [2, 1, 2, 1], point
     )
+
+
+def _act_point_by_reflect(rs, word, point):
+    """Reference: the point action root by root, each letter's image of
+    every positive root taken from `reflect` on coordinates."""
+    values = list(point.values)
+    for letter in reversed(word):
+        mirror = rs.simples[letter - 1]
+        new_values = []
+        for idx in rs.positives:
+            image = reflect(rs, mirror, idx)
+            val = values[index_position(rs, image)]
+            new_values.append(val if image in rs.pos_of or val is None else -val)
+        values = new_values
+    return ExtendedPoint(tuple(values))
+
+
+@pytest.mark.parametrize("name", PROPERTY_TYPES + ["E6", "E7", "E8"])
+def test_point_action_matches_the_reflect_reference(name):
+    rs = build_root_system(name)
+    rng = random.Random(name)
+    for _ in range(60):
+        values = tuple(
+            None if rng.random() < 0.3 else Fraction(rng.randint(-20, 20), rng.randint(1, 5))
+            for _ in range(rs.d)
+        )
+        word = [rng.randint(1, rs.rank) for _ in range(rng.randrange(12))]
+        point = ExtendedPoint(values)
+        assert weyl_act_point(rs, word, point) == _act_point_by_reflect(rs, word, point), word
 
 
 def test_malformed_word(lattice_of):
