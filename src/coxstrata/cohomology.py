@@ -4,8 +4,9 @@ Basis classes are indexed by flats; the product of two basis classes is
 the class of their join when ranks add, and zero otherwise, extended
 bilinearly over Z.
 
-`cup` is the library API and `verify`'s route to the ring axioms; the
-`cup` command reads its atom x flat table off the lattice's covers instead.
+`cup` is the library API and `verify`'s route to the ring axioms; both it
+(through `join`, which climbs covers) and the `cup` command's atom x flat
+table read the lattice's covers.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ class InvalidRank(CoxstrataError):
 
 
 class NotSpanClosed(CoxstrataError):
-    """Operation requires a span-closed root subsystem."""
+    """A root subset is not additively closed."""
 
 
 class ResourceLimit(CoxstrataError):

@@ -25,7 +25,7 @@ import numpy as np
 from .betti import betti_row_closed_form
 from .errors import InvalidId, InvariantViolation, RankOutOfRange, ResourceLimit
 from .linalg import integer_kernel
-from .rootsys import RootSystem, build_root_system, closure
+from .rootsys import RootSystem, build_root_system
 
 #: Default flat budget; admits every type through E7.  E8 (about 5.5M
 #: flats) must be requested explicitly with max_flats=None or a higher cap.
@@ -70,7 +70,7 @@ class IntersectionLattice:
         self.covers = covers
         self.rank_counts = [len(ids) for ids in self.by_rank]
         self._mobius: list[int] | None = None
-        self._join_cache: dict[int, int] = {}
+        self._upper: list[list[int]] | None = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -118,15 +118,23 @@ def leq(lat: IntersectionLattice, x: int, y: int) -> bool:
 
 
 def join(lat: IntersectionLattice, x: int, y: int) -> int:
-    """Least upper bound: span closure of the union."""
-    united = lat.flat(x).mask | lat.flat(y).mask
-    fid = lat.id_of.get(united)
-    if fid is not None:
-        return fid
-    fid = lat._join_cache.get(united)
-    if fid is None:
-        fid = lat.id_of[closure(lat.rs, united)]
-        lat._join_cache[united] = fid
+    """Least upper bound, by climbing the covers from the higher-rank flat.
+
+    X v (an atom outside X) covers X in a geometric lattice, so X steps to
+    its one upper cover holding the lowest root of Y - X until Y lies in X.
+    """
+    fy, fx = sorted((lat.flat(x), lat.flat(y)), key=lambda f: f.rank)
+    if lat._upper is None:  # built on first use: most commands never join
+        lat._upper = [[] for _ in lat.flats]
+        for lo, hi in lat.covers:
+            lat._upper[lo].append(hi)
+    fid, mask = fx.id, fx.mask
+    while rest := fy.mask & ~mask:
+        low = rest & -rest
+        fid = next((z for z in lat._upper[fid] if lat.flats[z].mask & low), None)
+        if fid is None:
+            raise InvariantViolation(f"no upper cover of flat {mask:#x} holds root bit {low:#x}")
+        mask = lat.flats[fid].mask
     return fid
 
 

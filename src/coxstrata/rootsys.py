@@ -364,10 +364,10 @@ def classify_subsystem(rs: RootSystem, subset: int | Iterable[int]) -> CartanTyp
     """Cartan type of a closed subsystem, as a canonically ordered product.
 
     Any additively closed, negation-closed subset is itself a root
-    system, and every other input raises NotSpanClosed; span-closed
-    inputs (flats) are additively closed and the common case.  Its
-    irreducible components are the classes of its positive roots under
-    "not orthogonal", and each is named by its rank and root counts.
+    system and is accepted, span-closed or not; NotSpanClosed refuses a
+    subset that is not additively closed.  Flats are the common case.
+    Its irreducible components are the classes of its positive roots
+    under "not orthogonal", and each is named by its rank and root counts.
     """
     mask = rs.as_mask(subset)
     if not is_closed(rs, mask):

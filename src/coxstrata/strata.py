@@ -2,10 +2,11 @@
 
 A point assigns each positive root an exact rational or infinity (the
 two standard affine charts of P^1; None encodes infinity).  Membership
-in the compactification is a linear-algebra check on the finite part:
-the finite support must be a flat's positive half (one span closure),
-and the finite values must extend to a linear functional on its span
-(one integer echelon over the rows [root | value]).
+in the compactification is a check on the finite part: the finite
+support must be a flat's positive half (a lookup in the lattice's
+`id_of`; the CLI, which holds no lattice, runs one span closure), and
+the finite values must extend to a linear functional on its span (one
+integer echelon over the rows [root | value]).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvalidId, InvariantViolation, LatticeMismatch, NotInVariety, SpanDeficient
 from .flats import IntersectionLattice
@@ -92,21 +93,22 @@ def fin_set(rs: RootSystem, point: ExtendedPoint) -> int:
     return mask
 
 
-def _stratum(rs: RootSystem, point: ExtendedPoint) -> tuple[int, Functional] | Rejection:
-    """The stratum's flat mask and a witness, or the first obstruction.
+def _support_rejection(rs: RootSystem, fin: int) -> Rejection | None:
+    """The rejection of a finite support that is not span-closed, or None."""
+    added = closure(rs, fin) & ~fin
+    if not added:
+        return None
+    return Rejection("finite support is not span-closed", forced_position=added.bit_length() - 1)
 
-    The point lies in the variety iff its finite support is span-closed
-    and the finite values satisfy every rational linear relation among
+
+def _witness(rs: RootSystem, point: ExtendedPoint) -> Functional | Rejection:
+    """A witness on a span-closed finite support, or the first broken relation.
+
+    The finite values must satisfy every rational linear relation among
     those roots.  In the echelon over the rows [root | value], a row with
     its pivot in a root column is the next greedy basis position; one with
     its pivot in the value column is the first broken relation.
     """
-    point.check_length(rs.d)
-    fin = fin_set(rs, point)
-    span_closed = closure(rs, fin)
-    if span_closed != fin:
-        forced = (span_closed & ~fin).bit_length() - 1
-        return Rejection("finite support is not span-closed", forced_position=forced)
     span = IncrementalSpan(rs.ambient + 1)
     basis_positions: list[int] = []
     for p in point.finite_positions():
@@ -122,19 +124,34 @@ def _stratum(rs: RootSystem, point: ExtendedPoint) -> tuple[int, Functional] | R
                 relation[q] = c
             return Rejection("finite values violate a root relation", relation=tuple(relation))
         basis_positions.append(p)
-    return fin, Functional(tuple(basis_positions), tuple(point.values[p] for p in basis_positions))
+    return Functional(tuple(basis_positions), tuple(point.values[p] for p in basis_positions))
+
+
+def _stratum(rs: RootSystem, point: ExtendedPoint) -> tuple[int, Functional] | Rejection:
+    """The stratum's flat mask and a witness, or the first obstruction; no lattice needed."""
+    point.check_length(rs.d)
+    fin = fin_set(rs, point)
+    result = _support_rejection(rs, fin) or _witness(rs, point)
+    return result if isinstance(result, Rejection) else (fin, result)
 
 
 def membership(
     rs: RootSystem, lat: IntersectionLattice, point: ExtendedPoint
 ) -> StratumResult | Rejection:
-    """Decide membership; return the stratum flat and witness, or the obstruction."""
+    """Decide membership; return the stratum flat and witness, or the obstruction.
+
+    A span-closed finite support is a flat, so `id_of` decides; the span
+    closure runs only on a support that is not a flat, to name its rejection.
+    """
     if lat.rs.ctype != rs.ctype:
         raise LatticeMismatch(f"lattice of {lat.rs.ctype} given with a root system of {rs.ctype}")
-    result = _stratum(rs, point)
-    if isinstance(result, Rejection):
-        return result
-    return StratumResult(lat.id_of[result[0]], result[1])
+    point.check_length(rs.d)
+    fin = fin_set(rs, point)
+    fid = lat.id_of.get(fin)
+    result = _support_rejection(rs, fin) if fid is None else _witness(rs, point)
+    if result is None:
+        raise InvariantViolation(f"span-closed support {fin:#x} is not a flat of the lattice")
+    return result if isinstance(result, Rejection) else StratumResult(fid, result)
 
 
 def stratum_of(rs: RootSystem, lat: IntersectionLattice, point: ExtendedPoint) -> int:
@@ -162,20 +179,18 @@ def h_translate(rs: RootSystem, point: ExtendedPoint, y: Sequence) -> ExtendedPo
 
 def limit_point(
     rs: RootSystem,
-    subsystem: int | Iterable[int],
     witness: Functional,
     lam0: int,
     t,
     within: int | None = None,
 ) -> ExtendedPoint:
-    """The finite point with witness values on the subsystem and t at lam0.
+    """The finite point with the witness's values on its basis and t at lam0.
 
-    As t grows, coordinates at roots outside the subsystem's span grow
+    As t grows, coordinates at roots outside the witness's span grow
     linearly, so the limit lands in the target stratum.  With `within`
     set to a larger flat's mask, coordinates outside it are infinity and
     the construction happens inside that flat instead.
     """
-    mask = rs.as_mask(subsystem)
     lam0_pos = rs.position(lam0)
     basis = [rs.roots[rs.positives[p]] for p in witness.basis_positions]
     ext_basis = basis + [rs.roots[rs.positives[lam0_pos]]]

@@ -6,7 +6,7 @@ import pytest
 
 from coxstrata import build_lattice, build_root_system
 from coxstrata.flats import key_masks, walk_level
-from coxstrata.rootsys import reflect
+from coxstrata.rootsys import closure, reflect
 
 # Types up to rank 4, plus G2 and F4, for the property tests.
 PROPERTY_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
@@ -30,6 +30,11 @@ def flat_level(rs, k):
     """The id of the first rank-k flat and the sorted rank-k masks, from the walk."""
     first, keys, _, _ = walk_level(rs, k)
     return first, key_masks(keys)
+
+
+def join_by_closure(lat, x, y):
+    """Reference join: the flat of the span closure of the union of two flats."""
+    return lat.id_of[closure(lat.rs, lat.flat(x).mask | lat.flat(y).mask)]
 
 
 def pos_of_coords(rs, coords):

@@ -289,7 +289,7 @@ def test_criterion_10_membership(lattice_of):
                     if span.add(rs.roots[rs.positives[p]])
                 ]
                 witness = Functional(tuple(basis_pos), tuple(q.values[p] for p in basis_pos))
-                approach = limit_point(rs, flat.mask, witness, lam0, rng.randrange(50, 500))
+                approach = limit_point(rs, witness, lam0, rng.randrange(50, 500))
                 res3 = membership(rs, lat, approach)
                 assert isinstance(res3, StratumResult) and res3.flat_id == lat.top
     _report(10, True, f"A2 fixtures (hypersurface-checked) + {samples} samples/type, r<=3")

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import flat_level
+from conftest import flat_level, join_by_closure
 from coxstrata import cli
 from coxstrata.betti import EXCEPTIONAL_ROWS, betti_row_closed_form
 from coxstrata.cli import _cup_table, load_lattice_cache, main, save_lattice_cache
@@ -307,6 +307,8 @@ def test_cup_table_from_covers_equals_cup_of_basis_classes(name, lattice_of):
     for atom, row in table.items():
         assert len(row) == len(lat.flats)
         for fid, target in enumerate(row):
+            joined = join_by_closure(lat, atom, fid)
+            assert target == (joined if lat.flat(joined).rank == lat.flat(fid).rank + 1 else None)
             expected = GradedClass.zero(lat) if target is None else GradedClass.basis(lat, target)
             assert cup(GradedClass.basis(lat, atom), GradedClass.basis(lat, fid)) == expected
 

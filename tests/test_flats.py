@@ -5,20 +5,23 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
 
 import coxstrata
-from conftest import flat_level
+from conftest import flat_level, join_by_closure
 from coxstrata.betti import betti_row_closed_form
 from coxstrata.errors import (
     InvalidId,
+    InvariantViolation,
     MagnitudeOverflow,
     RankOutOfRange,
     ResourceLimit,
 )
 from coxstrata.flats import (
+    IntersectionLattice,
     _expand_flat,
     brute_force_flats,
     build_lattice,
@@ -138,6 +141,34 @@ def test_join_is_least_upper_bound(lattice_of):
             if leq(lat, x, z) and leq(lat, y, z):
                 assert leq(lat, j, z)
             assert lat.flat(j).rank >= max(lat.flat(x).rank, lat.flat(y).rank)
+
+
+@pytest.mark.parametrize(
+    "name", ["A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
+)
+def test_join_by_covers_equals_join_by_closure_on_every_pair(name, lattice_of):
+    _, lat = lattice_of(name)
+    for x, y in combinations_with_replacement(range(len(lat)), 2):
+        expected = join_by_closure(lat, x, y)
+        assert join(lat, x, y) == expected and join(lat, y, x) == expected, (x, y)
+
+
+@pytest.mark.parametrize("name", ["D6", "E6"])
+def test_join_by_covers_equals_join_by_closure_on_seeded_pairs(name, lattice_of):
+    _, lat = lattice_of(name)
+    rng = random.Random(67)
+    for _ in range(2000):
+        x, y = rng.randrange(len(lat)), rng.randrange(len(lat))
+        assert join(lat, x, y) == join_by_closure(lat, x, y), (x, y)
+
+
+def test_join_on_a_lattice_without_covers_is_an_invariant_violation(lattice_of):
+    rs, lat = lattice_of("A2")
+    bare = IntersectionLattice(rs, [[lat.flats[i].mask for i in ids] for ids in lat.by_rank], [])
+    a, b = bare.atoms()[:2]
+    assert join(bare, a, bare.bottom) == a
+    with pytest.raises(InvariantViolation, match="no upper cover"):
+        join(bare, a, b)
 
 
 def test_leq_examples(lattice_of):

@@ -10,8 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PROPERTY_TYPES, fraction_rank, fraction_solve, pos_of_coords
-from coxstrata.errors import InvalidId, LatticeMismatch, NotInVariety, SpanDeficient
-from coxstrata.flats import build_lattice, leq
+from coxstrata.errors import (
+    InvalidId,
+    InvariantViolation,
+    LatticeMismatch,
+    NotInVariety,
+    SpanDeficient,
+)
+from coxstrata.flats import IntersectionLattice, build_lattice, leq
 from coxstrata.linalg import IncrementalSpan
 from coxstrata.rootsys import build_root_system, closure
 from coxstrata.strata import (
@@ -164,10 +170,9 @@ def test_limit_point_example(lattice_of):
     p1 = pos_of_coords(rs, (1, -1, 0))
     p2 = pos_of_coords(rs, (0, 1, -1))
     pt = pos_of_coords(rs, (1, 0, -1))
-    flat_mask = 1 << p1
     witness = Functional((p1,), (Fraction(5),))
     a2_root = rs.index[(0, 1, -1)]
-    point = limit_point(rs, flat_mask, witness, a2_root, 1000)
+    point = limit_point(rs, witness, a2_root, 1000)
     assert point.values[p1] == 5
     assert point.values[p2] == 1000
     assert point.values[pt] == 1005
@@ -181,8 +186,8 @@ def test_limit_point_divergence_pattern(lattice_of):
     flat_mask = 1 << p1
     witness = Functional((p1,), (Fraction(5),))
     lam0 = rs.index[(0, 1, -1)]
-    a = limit_point(rs, flat_mask, witness, lam0, 10)
-    b = limit_point(rs, flat_mask, witness, lam0, 11)
+    a = limit_point(rs, witness, lam0, 10)
+    b = limit_point(rs, witness, lam0, 11)
     for p in range(rs.d):
         moving = a.values[p] != b.values[p]
         assert moving == (not flat_mask >> p & 1)
@@ -191,11 +196,10 @@ def test_limit_point_divergence_pattern(lattice_of):
 def test_limit_point_span_deficient(lattice_of):
     rs, lat = lattice_of("A3")
     atom_root = rs.simples[0]
-    mask = 1 << rs.pos_of[atom_root]
     witness = Functional((rs.pos_of[atom_root],), (Fraction(1),))
     # rank(atom) + one root cannot span a rank-3 space
     with pytest.raises(SpanDeficient):
-        limit_point(rs, mask, witness, rs.simples[2], 7)
+        limit_point(rs, witness, rs.simples[2], 7)
 
 
 def test_limit_chains_realize_closure_order(lattice_of):
@@ -220,7 +224,7 @@ def test_limit_chains_realize_closure_order(lattice_of):
             # lo is a flat, so a root of hi outside it is off lo's span
             lam0_pos = next(p for p in rs.positions(hi_mask) if not lo_mask >> p & 1)
             lam0 = rs.positives[lam0_pos]
-            approach = limit_point(rs, lo_mask, witness, lam0, 997, within=hi_mask)
+            approach = limit_point(rs, witness, lam0, 997, within=hi_mask)
             assert stratum_of(rs, lat, approach) == hi
             # finite coordinates on the lower flat agree with the target
             for p in rs.positions(lo_mask):
@@ -468,6 +472,9 @@ def _functional_values(rs, mask, h):
 
 @pytest.mark.parametrize("name", ["A3", "B4", "C3", "D5", "G2", "F4"])
 def test_echelon_stratum_equals_the_two_step_reference(lattice_of, name):
+    """`membership` finds the support in `id_of`; the reference and `_stratum`
+    (the CLI's route) run the span closure.  Members, broken relations and
+    supports that are not span-closed must agree field by field."""
     rs, lat = lattice_of(name)
     rng = random.Random(61)
     fractions = [Fraction(n, d) for n in range(-7, 8) for d in (1, 2, 3, 5)]
@@ -497,6 +504,18 @@ def test_echelon_stratum_equals_the_two_step_reference(lattice_of, name):
         else:
             assert res == StratumResult(lat.id_of[reference[0]], reference[1])
     assert len(kinds) == 3
+
+
+def test_membership_on_a_lattice_without_the_support_flat_is_an_invariant_violation(lattice_of):
+    rs, lat = lattice_of("A3")
+    levels = [[lat.flats[i].mask for i in ids] for ids in lat.by_rank]
+    missing = next(m for m in levels[2] if bin(m).count("1") == 3)  # an A2
+    levels[2].remove(missing)
+    bare = IntersectionLattice(rs, levels, lat.covers)
+    with pytest.raises(InvariantViolation, match="not a flat of the lattice"):
+        membership(rs, bare, ExtendedPoint(_functional_values(rs, missing, [1, 2, 3, 4])))
+    not_closed = ExtendedPoint(_functional_values(rs, missing & (missing - 1), [1, 2, 3, 4]))
+    assert membership(rs, bare, not_closed) == _stratum(rs, not_closed)
 
 
 def test_h_translate_equals_the_fraction_sum(lattice_of):
