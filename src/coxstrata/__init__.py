@@ -4,8 +4,6 @@ from .betti import (
     bell,
     betti_row_closed_form,
     dowling,
-    exceptional_table,
-    f_closed_form,
     series_coefficients,
     stirling,
 )
@@ -19,14 +17,12 @@ from .flats import (
     join,
     leq,
     mobius_table,
-    whitney_first,
     whitney_second,
 )
 from .goodsub import (
     bds_candidates,
     bds_covers_all,
     classical_omit_node,
-    enumerate_good,
     is_k_step_good,
     param_F,
     param_G,

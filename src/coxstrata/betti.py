@@ -13,7 +13,7 @@ from collections import deque
 from math import comb
 from typing import Iterator
 
-from .errors import InvalidRank, RankOutOfRange
+from .errors import InvalidRank
 from .rootsys import CartanType
 
 EXCEPTIONAL_ROWS: dict[str, tuple[int, ...]] = {
@@ -69,27 +69,6 @@ def _classical_row(family: str, r: int) -> list[int]:
 def dowling(n: int) -> int:
     """Row sum of the signed-partition counts (the B-family analogue of Bell)."""
     return sum(_classical_row("B", n))
-
-
-def f_closed_form(ctype: CartanType | str, k: int) -> int:
-    """Number of codimension-k strata for an irreducible type."""
-    row = betti_row_closed_form(ctype)
-    if not 0 <= k < len(row):
-        raise RankOutOfRange(f"k={k} outside [0, {len(row) - 1}]")
-    return row[k]
-
-
-def exceptional_table(ctype: CartanType | str, k: int) -> int:
-    """Stored stratum counts for G2, F4, E6, E7, E8."""
-    if isinstance(ctype, str):
-        ctype = CartanType.parse(ctype)
-    name = str(ctype)
-    if name not in EXCEPTIONAL_ROWS:
-        raise InvalidRank(f"{name} is not an exceptional type")
-    row = EXCEPTIONAL_ROWS[name]
-    if not 0 <= k < len(row):
-        raise RankOutOfRange(f"k={k} outside [0, {len(row) - 1}]")
-    return row[k]
 
 
 def betti_row_closed_form(ctype: CartanType | str) -> list[int]:

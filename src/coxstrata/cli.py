@@ -2,7 +2,7 @@
 
 Every command but `cup` and `rootinfo` takes --allow-huge, which lifts
 the flat budget; `cup` needs the whole lattice, out of reach for E8.
-Every budget is checked before any enumeration.  Every command
+Each budget is checked before the root system is built.  Every command
 that enumerates flats (`betti --method enum`, `lattice`, `cup`, `orbits`,
 `good`, `member`, `verify`) uses the W-orbit walk of flats.py; `verify`
 also counts the flats by the closure sweep, its independent second route.
@@ -205,6 +205,12 @@ def _budget(args) -> int | None:
     return None if args.allow_huge else DEFAULT_FLAT_BUDGET
 
 
+def _enumerable(ctype: CartanType, max_flats: int | None) -> RootSystem:
+    """The type's root system, built only once its closed-form flat count is in budget."""
+    check_flat_budget(ctype, max_flats)
+    return build_root_system(ctype)
+
+
 def cmd_betti(args) -> int:
     ctype = _parse_type(args.type)
     family, rank = ctype.factors[0]
@@ -214,7 +220,7 @@ def cmd_betti(args) -> int:
         if method == "formula":
             methods["formula"] = betti.betti_row_closed_form(ctype)
         elif method == "enum":
-            rs = build_root_system(ctype)
+            rs = _enumerable(ctype, _budget(args))
             methods["enum"] = list(reversed(walk_rank_counts(rs, max_flats=_budget(args))))
         elif method == "series":
             if family not in ("A", "B", "C", "D"):
@@ -238,7 +244,7 @@ def cmd_betti(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    rs = build_root_system(_parse_type(args.type))
+    rs = _enumerable(_parse_type(args.type), _budget(args))
     path = None if args.cache_dir is None else Path(args.cache_dir) / f"{rs.ctype}.cxlt"
     lat = None if path is None else load_lattice_cache(rs, path)
     if lat is None:
@@ -263,17 +269,18 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_good(args) -> int:
-    rs = build_root_system(_parse_type(args.type))
+    ctype = _parse_type(args.type)
     if args.bds:
+        rs = build_root_system(ctype)
         for (i, j), mask in bds_candidates(rs):
             print(
                 f"nodes ({i},{j}) labels ({rs.labels[i]},{rs.labels[j]}) -> "
                 f"{classify_subsystem(rs, mask)} positives {rs.positions(mask)}"
             )
         return 0
-    if args.classical_param and rs.ctype.factors[0][0] not in "ABCD":
-        raise NotClassical(f"{rs.ctype} is not classical")
-    check_flat_budget(rs, _budget(args))
+    if args.classical_param and ctype.factors[0][0] not in "ABCD":
+        raise NotClassical(f"{ctype} is not classical")
+    rs = _enumerable(ctype, _budget(args))
     first, keys, label, _, types = typed_level(rs, rs.rank - 1)
     for fid, (mask, lab) in enumerate(zip(key_masks(keys), label.tolist()), first):
         line = f"flat {fid}: {types[lab]} positives {rs.positions(mask)}"
@@ -284,9 +291,8 @@ def cmd_good(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    rs = build_root_system(_parse_type(args.type))
     # The walk holds a whole rank of flat masks, so it keeps the lattice's budget.
-    check_flat_budget(rs, _budget(args))
+    rs = _enumerable(_parse_type(args.type), _budget(args))
     summary = parabolic_summary(rs)
     print(f"type {rs.ctype}: |W| = {summary.weyl_order}, {summary.class_count} classes")
     for rank, recs in enumerate(summary.per_rank):
@@ -316,7 +322,7 @@ def _cup_table(lat: IntersectionLattice) -> dict[int, list[int | None]]:
 
 
 def cmd_cup(args) -> int:
-    rs = build_root_system(_parse_type(args.type))
+    rs = _enumerable(_parse_type(args.type), DEFAULT_FLAT_BUDGET)
     table = _cup_table(build_lattice(rs, max_flats=DEFAULT_FLAT_BUDGET))
     out = sys.stdout
     if args.format == "json":
@@ -354,9 +360,8 @@ def _parse_point(text: str, rs: RootSystem) -> ExtendedPoint:
 
 
 def cmd_member(args) -> int:
-    rs = build_root_system(_parse_type(args.type))
+    rs = _enumerable(_parse_type(args.type), _budget(args))
     point = _parse_point(args.point, rs)
-    check_flat_budget(rs, _budget(args))
     result = _stratum(rs, point)
     if isinstance(result, Rejection):
         print(f"not in variety: {result.reason}")
@@ -377,7 +382,7 @@ def cmd_verify(args) -> int:
     from .verify import verify_battery, verify_type
 
     if args.type:
-        _parse_type(args.type)
+        check_flat_budget(_parse_type(args.type), _budget(args))
         checks = verify_type(args.type, args.level, allow_huge=args.allow_huge)
     else:
         checks = verify_battery(args.level, allow_huge=args.allow_huge)

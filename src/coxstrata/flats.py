@@ -25,11 +25,14 @@ import numpy as np
 from .betti import betti_row_closed_form
 from .errors import InvalidId, InvariantViolation, RankOutOfRange, ResourceLimit
 from .linalg import integer_kernel
-from .rootsys import RootSystem, build_root_system
+from .rootsys import CartanType, RootSystem, build_root_system
 
 #: Default flat budget; admits every type through E7.  E8 (about 5.5M
 #: flats) must be requested explicitly with max_flats=None or a higher cap.
 DEFAULT_FLAT_BUDGET = 120_000
+
+#: brute_force_flats tries all 2^d subsets of the positives, so it stops here.
+BRUTE_FORCE_MAX_POSITIVE = 12
 
 
 @dataclass(frozen=True)
@@ -172,13 +175,6 @@ def char_poly(lat: IntersectionLattice) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def whitney_first(lat: IntersectionLattice, k: int) -> int:
-    """Signed Whitney number: coefficient of t^(r-k) in char_poly."""
-    if not 0 <= k <= lat.rs.rank:
-        raise RankOutOfRange(f"k={k} outside [0, {lat.rs.rank}]")
-    return char_poly(lat)[lat.rs.rank - k]
-
-
 def whitney_second(lat: IntersectionLattice, k: int) -> int:
     """Number of codimension-k strata: flats of rank r-k."""
     if not 0 <= k <= lat.rs.rank:
@@ -218,11 +214,11 @@ def _worker_expand(type_str: str, masks: list[int]) -> list[list[int]]:
     return [_expand_flat(rs, m) for m in masks]
 
 
-def check_flat_budget(rs: RootSystem, max_flats: int | None) -> None:
-    """Raise ResourceLimit, before any enumeration, if rs has more than max_flats flats."""
-    total = sum(betti_row_closed_form(rs.ctype))
+def check_flat_budget(ctype: CartanType, max_flats: int | None) -> None:
+    """Raise ResourceLimit if the type's closed-form flat count exceeds max_flats."""
+    total = sum(betti_row_closed_form(ctype))
     if max_flats is not None and total > max_flats:
-        raise ResourceLimit(f"flat budget {max_flats} exceeded: {rs.ctype} has {total} flats")
+        raise ResourceLimit(f"flat budget {max_flats} exceeded: {ctype} has {total} flats")
 
 
 def _sweep(rs: RootSystem, workers: int) -> list[int]:
@@ -369,7 +365,7 @@ def flat_id(rs: RootSystem, k: int, mask: int) -> int | None:
 
 def walk_rank_counts(rs: RootSystem, *, max_flats: int | None = DEFAULT_FLAT_BUDGET) -> list[int]:
     """Per-rank flat counts from the W-orbit walk; one rank is held at a time."""
-    check_flat_budget(rs, max_flats)
+    check_flat_budget(rs.ctype, max_flats)
     return [len(walk_level(rs, k)[1]) for k in range(rs.rank + 1)]
 
 
@@ -421,7 +417,7 @@ def build_lattice(
     Raises ResourceLimit when the flat count would exceed max_flats
     (pass None, or a larger cap, to opt in to huge types such as E8).
     """
-    check_flat_budget(rs, max_flats)
+    check_flat_budget(rs.ctype, max_flats)
     walks = [walk_level(rs, k) for k in range(rs.rank + 1)]
     levels = [key_masks(keys) for _, keys, _, _ in walks]
     moves = [_moves(rs, keys) for _, keys, _, _ in walks]
@@ -449,11 +445,11 @@ def enumerate_rank_counts(
     compares the two.  Memory stays per level; with workers > 1 (clamped
     to [1, os.cpu_count()]) a process pool expands each large level.
     """
-    check_flat_budget(rs, max_flats)
+    check_flat_budget(rs.ctype, max_flats)
     return _sweep(rs, max(1, min(workers, os.cpu_count() or 1)))
 
 
-def brute_force_flats(rs: RootSystem, max_positive: int = 12) -> list[list[int]]:
+def brute_force_flats(rs: RootSystem) -> list[list[int]]:
     """Independent oracle: flats via exhaustive closed-subsystem search.
 
     Enumerates every additively closed, negation-closed subset of the
@@ -463,8 +459,8 @@ def brute_force_flats(rs: RootSystem, max_positive: int = 12) -> list[list[int]]
     """
     from .rootsys import is_closed, subsystem_rank
 
-    if rs.d > max_positive:
-        raise ResourceLimit(f"brute force capped at {max_positive} positive roots")
+    if rs.d > BRUTE_FORCE_MAX_POSITIVE:
+        raise ResourceLimit(f"brute force capped at {BRUTE_FORCE_MAX_POSITIVE} positive roots")
     closed = [m for m in range(1 << rs.d) if is_closed(rs, m)]
     ranks = {m: subsystem_rank(rs, m) for m in closed}
     by_rank: list[list[int]] = [[] for _ in range(rs.rank + 1)]

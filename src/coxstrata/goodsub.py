@@ -21,7 +21,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from .errors import InvariantViolation, MalformedDescriptor, NotClassical, NotGood, StarViolation
-from .flats import IntersectionLattice, key_masks, parabolic_flat, walk_level
+from .flats import key_masks, parabolic_flat, walk_level
 from .rootsys import (
     CartanType,
     RootSystem,
@@ -37,11 +37,6 @@ def is_k_step_good(rs: RootSystem, subset: int | Iterable[int], k: int) -> bool:
     """Maximal closed subsystem of rank r-k, i.e. span-closed of that rank."""
     mask = rs.as_mask(subset)
     return subsystem_rank(rs, mask) == rs.rank - k and closure(rs, mask) == mask
-
-
-def enumerate_good(rs: RootSystem, lat: IntersectionLattice) -> list[int]:
-    """All rank-(r-1) flats: the boundary-component subsystems."""
-    return [lat.flats[fid].mask for fid in lat.by_rank[rs.rank - 1]]
 
 
 def bds_candidates(rs: RootSystem) -> list[tuple[tuple[int, int], int]]:

@@ -14,6 +14,7 @@ from typing import Iterator
 from . import betti
 from .cohomology import GradedClass, cup, factor_degree2, poincare_poly
 from .flats import (
+    BRUTE_FORCE_MAX_POSITIVE,
     DEFAULT_FLAT_BUDGET,
     brute_force_flats,
     build_lattice,
@@ -31,6 +32,7 @@ from .goodsub import (
     star_sets,
 )
 from .rootsys import (
+    CartanType,
     RootSystem,
     build_root_system,
     closure,
@@ -155,7 +157,7 @@ def lattice_checks(rs: RootSystem, counts: list[int], lat=None) -> Iterator[Chec
 
 
 def poset_dictionary_checks(rs: RootSystem, lat) -> Iterator[Check]:
-    if rs.d > 12:
+    if rs.d > BRUTE_FORCE_MAX_POSITIVE:
         return
     brute = brute_force_flats(rs)
     enum = [[lat.flats[i].mask for i in ids] for ids in lat.by_rank]
@@ -295,9 +297,7 @@ def _random_member(rs: RootSystem, lat, rng: random.Random):
     return ExtendedPoint(tuple(values)), fid
 
 
-def verify_type(
-    type_str: str, level: str = "quick", seed: int = 0, allow_huge: bool = False
-) -> list[Check]:
+def verify_type(type_str: str, level: str = "quick", allow_huge: bool = False) -> list[Check]:
     """Run every applicable invariant suite for one type.
 
     The rank counts come from the closure sweep, a route independent of
@@ -305,8 +305,8 @@ def verify_type(
     checks compare both with the closed-form row.  E7 and E8 build no
     lattice: they get the checks on the counts and the orbit checks.
     """
-    rng = random.Random(seed)
-    rs = build_root_system(type_str)
+    rng = random.Random(0)
+    rs = build_root_system(CartanType.parse(type_str))
     budget = None if allow_huge else DEFAULT_FLAT_BUDGET
     checks = list(rootsys_checks(rs, rng))
     counts = enumerate_rank_counts(rs, max_flats=budget)

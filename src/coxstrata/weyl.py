@@ -12,39 +12,28 @@ the labels that the lattice keeps (`IntersectionLattice.orbit_labels`).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from math import factorial
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import InvariantViolation, LatticeMismatch, MalformedWord
 from .flats import IntersectionLattice, walk_level
-from .rootsys import CartanType, RootSystem, classify_subsystem
-
-_EXCEPTIONAL_ORDERS = {
-    ("E", 6): 51840,
-    ("E", 7): 2903040,
-    ("E", 8): 696729600,
-    ("F", 4): 1152,
-    ("G", 2): 12,
-}
+from .rootsys import CartanType, RootSystem, build_root_system, classify_subsystem
 
 
 def weyl_order(ctype: CartanType | str) -> int:
-    """Order of the reflection group of the given type."""
+    """Order of the reflection group: prod(e_i + 1) over each factor's exponents
+    (Solomon 1963), the dual partition of its positive roots by height: e_i
+    counts the heights of at least i positive roots (Kostant 1959)."""
     if isinstance(ctype, str):
         ctype = CartanType.parse(ctype)
     order = 1
     for family, r in ctype.factors:
-        if family == "A":
-            order *= factorial(r + 1)
-        elif family in ("B", "C"):
-            order *= 2**r * factorial(r)
-        elif family == "D":
-            order *= 2 ** (r - 1) * factorial(r)
-        else:
-            order *= _EXCEPTIONAL_ORDERS[(family, r)]
+        by_height = Counter(build_root_system(CartanType(((family, r),))).heights)
+        for i in range(1, r + 1):
+            order *= 1 + sum(n >= i for h, n in by_height.items() if h > 0)
     return order
 
 

@@ -11,12 +11,10 @@ from coxstrata.betti import (
     bell,
     betti_row_closed_form,
     dowling,
-    exceptional_table,
-    f_closed_form,
     series_coefficients,
     stirling,
 )
-from coxstrata.errors import InvalidRank, RankOutOfRange
+from coxstrata.errors import InvalidRank
 
 
 def partitions_into_blocks(n: int, k: int) -> int:
@@ -58,10 +56,10 @@ def test_bell_and_dowling():
 
 
 def test_closed_form_examples():
-    assert f_closed_form("A5", 2) == 90
-    assert f_closed_form("B4", 2) == 58
-    assert f_closed_form("D5", 1) == 81
-    assert f_closed_form("C3", 1) == 13
+    assert betti_row_closed_form("A5")[2] == 90
+    assert betti_row_closed_form("B4")[2] == 58
+    assert betti_row_closed_form("D5")[1] == 81
+    assert betti_row_closed_form("C3")[1] == 13
     assert betti_row_closed_form("A3") == [1, 7, 6, 1]
     assert betti_row_closed_form("D6") == [1, 268, 1051, 920, 275, 30, 1]
 
@@ -70,10 +68,8 @@ def test_closed_form_edges():
     for name in ["A4", "B4", "C4", "D4", "G2", "F4", "E7"]:
         row = betti_row_closed_form(name)
         assert row[0] == 1 and row[-1] == 1
-    with pytest.raises(RankOutOfRange):
-        f_closed_form("A3", 4)
     with pytest.raises(InvalidRank):
-        f_closed_form("A1xA1", 0)
+        betti_row_closed_form("A1xA1")
 
 
 def test_d3_equals_a3():
@@ -86,14 +82,10 @@ def test_b_equals_c():
 
 
 def test_exceptional_table_values():
-    assert exceptional_table("E6", 1) == 639
-    assert exceptional_table("E8", 2) == 2221780
-    assert exceptional_table("G2", 2) == 1
-    assert exceptional_table("E7", 3) == 33411
-    with pytest.raises(RankOutOfRange):
-        exceptional_table("G2", 3)
-    with pytest.raises(InvalidRank):
-        exceptional_table("A2", 0)
+    assert betti_row_closed_form("E6")[1] == 639
+    assert betti_row_closed_form("E8")[2] == 2221780
+    assert betti_row_closed_form("G2")[2] == 1
+    assert betti_row_closed_form("E7")[3] == 33411
     for name, row in EXCEPTIONAL_ROWS.items():
         assert row[0] == row[-1] == 1
 

@@ -690,6 +690,43 @@ def test_over_budget_e8_is_refused_before_any_enumeration(argv, monkeypatch, cap
     assert err.startswith("error: flat budget 120000 exceeded: E8 has 5506504 flats")
 
 
+def _unbuildable(ctype):
+    raise AssertionError(f"the root system of {ctype} was built")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["betti", "A150", "--method", "enum"],
+        ["lattice", "A150"],
+        ["good", "A150"],
+        ["orbits", "A150"],
+        ["member", "A150", "--point", "1"],
+        ["cup", "A150"],
+        ["verify", "A150"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_over_budget_type_is_refused_before_its_root_system_is_built(argv, monkeypatch, capsys):
+    # A150's root system takes minutes to build; its closed-form count, a
+    # millisecond.  member is refused before its one-coordinate point is read.
+    monkeypatch.setattr("coxstrata.cli.build_root_system", _unbuildable)
+    monkeypatch.setattr("coxstrata.verify.build_root_system", _unbuildable)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: flat budget 120000 exceeded: A150 has ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["betti", "A150"], ["betti", "A12", "--method", "series"], ["good", "A12", "--bds"], ["rootinfo", "A12"]],
+    ids=" ".join,
+)
+def test_commands_that_enumerate_no_flats_have_no_budget(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+
+
 def test_good_bds_builds_no_lattice(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("coxstrata.cli.build_lattice", _refuse_to_build)

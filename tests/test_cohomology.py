@@ -88,13 +88,14 @@ def test_factor_degree2(lattice_of):
 
 
 def test_degree2_dimension_matches_f(lattice_of):
-    from coxstrata.betti import f_closed_form
+    from coxstrata.betti import betti_row_closed_form
 
     for name in ["A3", "B3", "D4", "F4"]:
         rs, lat = lattice_of(name)
+        row = betti_row_closed_form(name)
         for k in range(rs.rank + 1):
             dim = len(lat.by_rank[rs.rank - k])
-            assert dim == f_closed_form(name, k)
+            assert dim == row[k]
 
 
 def test_lattice_mismatch():

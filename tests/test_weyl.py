@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -33,20 +34,22 @@ from coxstrata.weyl import (
 
 
 def test_weyl_order_values():
-    assert weyl_order("A2") == 6
-    assert weyl_order("B2") == 8
-    assert weyl_order("G2") == 12
-    assert weyl_order("A4") == 120
-    assert weyl_order("D4") == 192
-    assert weyl_order("F4") == 1152
-    assert weyl_order("E6") == 51840
-    assert weyl_order("E7") == 2903040
-    assert weyl_order("E8") == 696729600
-    assert weyl_order("A1xA1") == 4
+    # The reference for the derivation from the root heights: the
+    # classical orders by formula and the five exceptional constants.
+    expected = {"G2": 12, "F4": 1152, "E6": 51840, "E7": 2903040, "E8": 696729600}
+    for r in range(1, 9):
+        expected[f"A{r}"] = factorial(r + 1)
+    for r in range(2, 8):
+        expected[f"B{r}"] = expected[f"C{r}"] = 2**r * factorial(r)
+    for r in range(3, 9):
+        expected[f"D{r}"] = 2 ** (r - 1) * factorial(r)
+    expected["A1xA1"] = 4
+    assert len(expected) == 32
+    assert {name: weyl_order(name) for name in expected} == expected
 
 
 def test_weyl_order_by_orbit_stabilizer():
-    # Cross-check the hardcoded orders: every orbit size times its
+    # Cross-check the derived orders: every orbit size times its
     # stabilizer order must give |W|, which fails unless the size divides it.
     for name in ["A3", "B3", "G2", "D4"]:
         summary = parabolic_summary(build_root_system(name))
