@@ -8,8 +8,8 @@ that enumerates flats (`betti --method enum`, `lattice`, `cup`, `orbits`,
 also counts the flats by the closure sweep, its independent second route.
 `cup` reads its table off the lattice's covers; `lattice --export` and
 `good` give each flat the Cartan type of its W-orbit, classified once per
-orbit through the walk's orbit labels (`weyl.flat_types` reads those the
-lattice keeps, `weyl.typed_level` walks `good`'s one rank);
+orbit by `weyl.orbit_types` on a walked `flats.Level` (`weyl.flat_types`
+reads the levels the lattice keeps, `good` walks its one rank);
 `cohomology.cup` and `flats.join` stay the library API and the route by
 which `verify` checks the ring axioms.
 
@@ -25,11 +25,10 @@ import csv
 import hashlib
 import json
 import os
-import re
 import struct
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
 from typing import Iterator
 
@@ -45,23 +44,24 @@ from .flats import (
     check_flat_budget,
     flat_id,
     key_masks,
+    walk,
+    walk_level,
     walk_rank_counts,
 )
 from .goodsub import bds_candidates, param_F
 from .rootsys import CartanType, RootSystem, build_root_system, classify_subsystem
 from .strata import ExtendedPoint, Rejection, _stratum
-from .weyl import flat_types, parabolic_summary, typed_level
+from .weyl import flat_types, orbit_types, parabolic_summary
 
 CACHE_MAGIC = b"CXLT"
 CACHE_VERSION = 2
-TYPE_RE = re.compile(r"^([A-Ga-g])([0-9]+)$")
 
 
 def _parse_type(text: str) -> CartanType:
-    m = TYPE_RE.match(text.strip())
-    if not m:
+    ctype = CartanType.parse(text)
+    if not ctype.is_irreducible:
         raise InvalidRank(f"type must look like A3, B4, E8; got {text!r}")
-    return CartanType.parse(m.group(1).upper() + m.group(2))
+    return ctype
 
 
 # -- binary lattice cache ---------------------------------------------------
@@ -281,9 +281,10 @@ def cmd_good(args) -> int:
     if args.classical_param and ctype.factors[0][0] not in "ABCD":
         raise NotClassical(f"{ctype} is not classical")
     rs = _enumerable(ctype, _budget(args))
-    first, keys, label, _, types = typed_level(rs, rs.rank - 1)
-    for fid, (mask, lab) in enumerate(zip(key_masks(keys), label.tolist()), first):
-        line = f"flat {fid}: {types[lab]} positives {rs.positions(mask)}"
+    level = walk_level(rs, rs.rank - 1)
+    types = map(orbit_types(rs, level).__getitem__, level.label.tolist())
+    for fid, mask, ctype in zip(count(level.first), key_masks(level.keys), types):
+        line = f"flat {fid}: {ctype} positives {rs.positions(mask)}"
         if args.classical_param:
             line += f"  param {sorted(param_F(rs, mask))}"
         print(line)
@@ -293,7 +294,7 @@ def cmd_good(args) -> int:
 def cmd_orbits(args) -> int:
     # The walk holds a whole rank of flat masks, so it keeps the lattice's budget.
     rs = _enumerable(_parse_type(args.type), _budget(args))
-    summary = parabolic_summary(rs)
+    summary = parabolic_summary(rs, walk(rs))
     print(f"type {rs.ctype}: |W| = {summary.weyl_order}, {summary.class_count} classes")
     for rank, recs in enumerate(summary.per_rank):
         for rec in recs:

@@ -5,9 +5,9 @@ over positive-root positions and graded by span dimension.
 
 Every command that enumerates flats (`betti --method enum`, `lattice`,
 `cup`, `orbits`, `good`, `member`, `verify`) reads the W-orbit walk,
-`walk_level`, one rank at a time.  `build_lattice` keeps each rank's
-W-orbit labels from the walk; a lattice made from levels and covers
-alone walks a rank when its labels are first read.  The closure sweep
+`walk_level`, one rank at a time, as a `Level`.  `build_lattice` keeps
+each rank's `Level`; a lattice made from levels and covers alone walks a
+rank when it is first read (`IntersectionLattice.level`).  The closure sweep
 `enumerate_rank_counts` is the independent second route to the counts
 that `verify` checks the walk against; `verify` runs it in one process.
 """
@@ -19,6 +19,7 @@ from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, repeat
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -44,12 +45,24 @@ class Flat:
     mask: int
 
 
+class Level(NamedTuple):
+    """Rank k of the walk: the id of its first flat (the closed-form count of
+    lower flats; a flat's id is it plus the flat's place), its sorted keys,
+    each place's W-orbit label, and the sorted (place, size, mask) of each
+    W-orbit's least flat; label i names the i-th of these orbits."""
+
+    first: int
+    keys: np.ndarray
+    label: np.ndarray
+    orbits: list[tuple[int, int, int]]
+
+
 class IntersectionLattice:
     """All flats of the arrangement of a root system, with covers.
 
     Flat ids are dense and sorted by (rank, mask); queries are read-only
-    after construction.  labels[k], when given, is walk_level's W-orbit
-    label of each rank-k flat; a rank without them is walked on first use.
+    after construction.  walk[k], when given, is walk_level(rs, k); a rank
+    without it is walked on first use.
     """
 
     def __init__(
@@ -57,10 +70,10 @@ class IntersectionLattice:
         rs: RootSystem,
         levels: list[list[int]],
         covers: list[tuple[int, int]],
-        labels: list[np.ndarray] | None = None,
+        walk: list[Level] | None = None,
     ):
         self.rs = rs
-        self._labels: list[np.ndarray | None] = list(labels or [None] * len(levels))
+        self._walk: list[Level | None] = list(walk or [None] * len(levels))
         self.flats: list[Flat] = []
         self.by_rank: list[list[int]] = []
         for rank, masks in enumerate(levels):
@@ -104,14 +117,14 @@ class IntersectionLattice:
         """Stratum counts by codimension: entry k counts flats of rank r-k."""
         return list(reversed(self.rank_counts))
 
-    def orbit_labels(self, k: int) -> np.ndarray:
-        """The W-orbit label of each rank-k flat, aligned with by_rank[k]."""
-        if self._labels[k] is None:
-            _, keys, label, _ = walk_level(self.rs, k)
-            if key_masks(keys) != [self.flats[fid].mask for fid in self.by_rank[k]]:
+    def level(self, k: int) -> Level:
+        """The walk's rank k, whose place p is the flat of id level.first + p."""
+        if self._walk[k] is None:
+            level, ids = walk_level(self.rs, k), self.by_rank[k]
+            if ids[:1] != [level.first] or key_masks(level.keys) != [self.flats[i].mask for i in ids]:
                 raise InvariantViolation(f"rank-{k} level differs from the walk of {self.rs.ctype}")
-            self._labels[k] = label
-        return self._labels[k]
+            self._walk[k] = level
+        return self._walk[k]
 
 
 def leq(lat: IntersectionLattice, x: int, y: int) -> bool:
@@ -326,16 +339,8 @@ def parabolic_flat(rs: RootSystem, simple_set: int) -> int:
     return sum(1 << p for p, support in enumerate(rs.simple_supports) if not support & ~simple_set)
 
 
-def walk_level(
-    rs: RootSystem, k: int
-) -> tuple[int, np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
-    """Rank k of the walk: the id of its first flat, its sorted keys, each
-    place's W-orbit label, and the sorted (place, size, mask) of each
-    W-orbit's least flat; label i names the i-th of these orbits.
-
-    A flat's id is the first id plus its place; the first id is the
-    closed-form count of the flats of lower rank.
-    """
+def walk_level(rs: RootSystem, k: int) -> Level:
+    """Rank k of the walk, from the parabolic flats of rank k."""
     starts = {parabolic_flat(rs, sum(1 << j for j in J)) for J in combinations(range(rs.rank), k)}
     todo = _keys(rs, sorted(starts))
     orbits = []
@@ -352,21 +357,26 @@ def walk_level(
     keys = walk[order]
     first = sum(list(reversed(betti_row_closed_form(rs.ctype)))[:k])
     # Only the least flats become ints: E8's whole rank 2 would take 360 MB.
-    return first, keys, label, list(zip(least.tolist(), size.tolist(), key_masks(keys[least])))
+    return Level(first, keys, label, list(zip(least.tolist(), size.tolist(), key_masks(keys[least]))))
+
+
+def walk(rs: RootSystem) -> Iterator[Level]:
+    """walk_level of ranks 0..r, made one at a time as they are read."""
+    return map(walk_level, repeat(rs), range(rs.rank + 1))
 
 
 def flat_id(rs: RootSystem, k: int, mask: int) -> int | None:
     """The id of the rank-k flat with this mask, or None.  The keys are searched
     as they are: as ints, E8's rank 6 took `member` from 198 to 383 MB peak."""
-    first, keys, _, _ = walk_level(rs, k)
-    place = np.flatnonzero((keys == _keys(rs, [mask])).all(axis=1)).tolist()
-    return first + place[0] if place else None
+    level = walk_level(rs, k)
+    place = np.flatnonzero((level.keys == _keys(rs, [mask])).all(axis=1)).tolist()
+    return level.first + place[0] if place else None
 
 
 def walk_rank_counts(rs: RootSystem, *, max_flats: int | None = DEFAULT_FLAT_BUDGET) -> list[int]:
     """Per-rank flat counts from the W-orbit walk; one rank is held at a time."""
     check_flat_budget(rs.ctype, max_flats)
-    return [len(walk_level(rs, k)[1]) for k in range(rs.rank + 1)]
+    return [len(walk_level(rs, k).keys) for k in range(rs.rank + 1)]
 
 
 def _moves(rs: RootSystem, keys: np.ndarray) -> np.ndarray:
@@ -418,19 +428,19 @@ def build_lattice(
     (pass None, or a larger cap, to opt in to huge types such as E8).
     """
     check_flat_budget(rs.ctype, max_flats)
-    walks = [walk_level(rs, k) for k in range(rs.rank + 1)]
-    levels = [key_masks(keys) for _, keys, _, _ in walks]
-    moves = [_moves(rs, keys) for _, keys, _, _ in walks]
+    walks = list(walk(rs))
+    levels = [key_masks(level.keys) for level in walks]
+    moves = [_moves(rs, level.keys) for level in walks]
     # Covers share one int object per id; 892,102 E7 covers would not.
     ids = list(range(sum(map(len, levels))))
     covers: list[tuple[int, int]] = []
     for k in range(rs.rank):
-        (first, _, _, orbits), upper = walks[k], walks[k + 1][0]
-        lo, hi = _cover_places(rs, orbits, levels[k + 1], *moves[k : k + 2])
+        lower, upper = walks[k], walks[k + 1]
+        lo, hi = _cover_places(rs, lower.orbits, levels[k + 1], *moves[k : k + 2])
         order = np.lexsort((hi, lo))
-        lo_ids = map(ids.__getitem__, (first + lo[order]).tolist())
-        covers += zip(lo_ids, map(ids.__getitem__, (upper + hi[order]).tolist()))
-    return IntersectionLattice(rs, levels, covers, [label for _, _, label, _ in walks])
+        lo_ids = map(ids.__getitem__, (lower.first + lo[order]).tolist())
+        covers += zip(lo_ids, map(ids.__getitem__, (upper.first + hi[order]).tolist()))
+    return IntersectionLattice(rs, levels, covers, walks)
 
 
 def enumerate_rank_counts(

@@ -21,7 +21,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from .errors import InvariantViolation, MalformedDescriptor, NotClassical, NotGood, StarViolation
-from .flats import key_masks, parabolic_flat, walk_level
+from .flats import Level, key_masks, parabolic_flat
 from .rootsys import (
     CartanType,
     RootSystem,
@@ -55,18 +55,17 @@ def bds_candidates(rs: RootSystem) -> list[tuple[tuple[int, int], int]]:
     return out
 
 
-def bds_covers_all(rs: RootSystem) -> bool:
+def bds_covers_all(rs: RootSystem, level: Level) -> bool:
     """Every candidate is good and every good subsystem is W-conjugate to one.
 
-    A good candidate is a rank-(r-1) flat, so its place in the walk's
-    sorted level names its W-orbit; the candidates must name every orbit.
+    A good candidate is a flat of the walk's rank-(r-1) level, so its place
+    there names its W-orbit; the candidates must be found and name every orbit.
     """
-    candidates = {mask for _, mask in bds_candidates(rs)}
-    if not all(is_k_step_good(rs, mask, 1) for mask in candidates):
+    masks = key_masks(level.keys)
+    places = {mask: bisect_left(masks, mask) for _, mask in bds_candidates(rs)}
+    if not all(masks[p : p + 1] == [m] and is_k_step_good(rs, m, 1) for m, p in places.items()):
         return False
-    _, keys, label, orbits = walk_level(rs, rs.rank - 1)
-    level = key_masks(keys)
-    return len({label[bisect_left(level, mask)] for mask in candidates}) == len(orbits)
+    return len({level.label[p] for p in places.values()}) == len(level.orbits)
 
 
 def classical_omit_node(rs: RootSystem, i: int) -> int:

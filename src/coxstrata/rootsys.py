@@ -57,7 +57,7 @@ class CartanType:
     @classmethod
     def parse(cls, text: str) -> "CartanType":
         factors = []
-        for part in text.replace(" ", "").split("x"):
+        for part in "".join(text.split()).split("x"):
             if len(part) < 2 or not part[0].isalpha() or not part[1:].isdigit():
                 raise InvalidRank(f"cannot parse type string {text!r}")
             factors.append((part[0].upper(), int(part[1:])))
@@ -306,9 +306,9 @@ class RootSystem:
 
 @lru_cache(maxsize=None)
 def build_root_system(ctype: CartanType | str) -> RootSystem:
-    """Construct (and memoize) the root system of a single-factor type."""
+    """The memoized root system of a single-factor type; a string is looked up as its parse."""
     if isinstance(ctype, str):
-        ctype = CartanType.parse(ctype)
+        return build_root_system(CartanType.parse(ctype))
     return RootSystem(ctype)
 
 

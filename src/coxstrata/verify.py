@@ -21,6 +21,7 @@ from .flats import (
     char_poly,
     enumerate_rank_counts,
     mobius_table,
+    walk,
     whitney_second,
 )
 from .goodsub import (
@@ -171,7 +172,7 @@ def goodsub_checks(rs: RootSystem, lat) -> Iterator[Check]:
         all(is_k_step_good(rs, m, 1) for _, m in cands),
         f"{len(cands)} candidates",
     )
-    yield _check("affine-candidates-cover-orbits", bds_covers_all(rs))
+    yield _check("affine-candidates-cover-orbits", bds_covers_all(rs, lat.level(rs.rank - 1)))
     family, r = rs.ctype.factors[0]
     param_ok = (family == "A" and r <= 5) or (family in "BC" and r <= 4) or (
         family == "D" and r <= 4
@@ -195,8 +196,8 @@ def goodsub_checks(rs: RootSystem, lat) -> Iterator[Check]:
         yield _check("parametrization-bijections", good)
 
 
-def weyl_checks(rs: RootSystem, counts: list[int]) -> Iterator[Check]:
-    summary = parabolic_summary(rs)
+def weyl_checks(rs: RootSystem, counts: list[int], levels) -> Iterator[Check]:
+    summary = parabolic_summary(rs, levels)
     sizes = [sum(rec.size for rec in recs) for recs in summary.per_rank]
     yield _check("orbit-sizes-sum-to-rank-counts", sizes == counts, f"{sizes}")
     divides = all(
@@ -302,8 +303,9 @@ def verify_type(type_str: str, level: str = "quick", allow_huge: bool = False) -
 
     The rank counts come from the closure sweep, a route independent of
     the W-orbit walk that builds the lattice and the orbit table; the
-    checks compare both with the closed-form row.  E7 and E8 build no
-    lattice: they get the checks on the counts and the orbit checks.
+    checks compare both with the closed-form row; each rank is walked once,
+    and the goodsub and orbit checks read the lattice's levels.  E7 and E8
+    build no lattice: the orbit checks read walk(rs), one rank at a time.
     """
     rng = random.Random(0)
     rs = build_root_system(CartanType.parse(type_str))
@@ -312,13 +314,13 @@ def verify_type(type_str: str, level: str = "quick", allow_huge: bool = False) -
     counts = enumerate_rank_counts(rs, max_flats=budget)
     if str(rs.ctype) in ("E7", "E8"):
         checks += list(lattice_checks(rs, counts))
-        checks += list(weyl_checks(rs, counts))
+        checks += list(weyl_checks(rs, counts, walk(rs)))
     else:
         lat = build_lattice(rs, max_flats=budget)
         checks += list(lattice_checks(rs, counts, lat))
         checks += list(poset_dictionary_checks(rs, lat))
         checks += list(goodsub_checks(rs, lat))
-        checks += list(weyl_checks(rs, counts))
+        checks += list(weyl_checks(rs, counts, map(lat.level, range(rs.rank + 1))))
         if len(lat) <= _SLOW_CHECK_FLAT_LIMIT:
             triples = 300 if level == "quick" else 2000
             checks += list(cohomology_checks(rs, lat, rng, triples))

@@ -4,22 +4,22 @@ Group elements are never materialized: everything is driven by the
 simple-reflection generators, as the root system's `gather` table of
 position permutations, and the orbit-stabilizer relation for stabilizer
 orders.  `weyl_act_point` reads one row of that table per letter.
-Every W-orbit comes from the one numpy orbit engine in `flats`, as
-`flats.walk_level`'s orbit labels: `typed_level` types a
-walked level once per orbit, and `orbit_of_flat` and `flat_types` read
-the labels that the lattice keeps (`IntersectionLattice.orbit_labels`).
+Every W-orbit comes from the one numpy orbit engine in `flats`, as a
+walked `flats.Level`: `orbit_types` types each of its orbits once, and
+`orbit_of_flat` and `flat_types` read the levels that the lattice keeps
+(`IntersectionLattice.level`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import InvariantViolation, LatticeMismatch, MalformedWord
-from .flats import IntersectionLattice, walk_level
+from .flats import IntersectionLattice, Level
 from .rootsys import CartanType, RootSystem, build_root_system, classify_subsystem
 
 
@@ -41,9 +41,9 @@ def orbit_of_flat(rs: RootSystem, lat: IntersectionLattice, fid: int) -> set[int
     """The W-orbit of flat fid: the ids of its rank that carry its label."""
     if lat.rs.ctype != rs.ctype:
         raise LatticeMismatch(f"lattice of {lat.rs.ctype} given with a root system of {rs.ctype}")
-    rank = lat.flat(fid).rank
-    label, first = lat.orbit_labels(rank), lat.by_rank[rank][0]
-    return set((first + np.flatnonzero(label == label[fid - first])).tolist())
+    level = lat.level(lat.flat(fid).rank)
+    label = level.label
+    return set((level.first + np.flatnonzero(label == label[fid - level.first])).tolist())
 
 
 @dataclass(frozen=True)
@@ -66,42 +66,33 @@ class OrbitSummary:
         return sum(len(rows) for rows in self.per_rank)
 
 
-def typed_level(
-    rs: RootSystem, k: int
-) -> tuple[int, np.ndarray, np.ndarray, list[tuple[int, int, int]], list[CartanType]]:
-    """walk_level(rs, k) and the Cartan type of each of its W-orbits.
-
-    W permutes the roots, so a flat's type is constant on its orbit: each
-    orbit is classified once, at its least flat, and a place's type is
-    types[label[place]].
-    """
-    first, keys, label, orbits = walk_level(rs, k)
-    return first, keys, label, orbits, [classify_subsystem(rs, mask) for _, _, mask in orbits]
+def orbit_types(rs: RootSystem, level: Level) -> list[CartanType]:
+    """The Cartan type of each W-orbit of a walked level, classified once, at
+    its least flat: W permutes the roots, so a flat's type is its orbit's."""
+    return [classify_subsystem(rs, mask) for _, _, mask in level.orbits]
 
 
 def flat_types(lat: IntersectionLattice) -> Iterator[CartanType]:
-    """The Cartan type of every flat, in id order; each W-orbit is
-    classified once, at its least place, the first place with its label."""
-    for k, ids in enumerate(lat.by_rank):
-        label = lat.orbit_labels(k)
-        least = np.unique(label, return_index=True)[1].tolist()
-        types = [classify_subsystem(lat.rs, lat.flats[ids[p]].mask) for p in least]
-        yield from map(types.__getitem__, label.tolist())
+    """The Cartan type of every flat, in id order, by its W-orbit's type."""
+    for level in map(lat.level, range(len(lat.by_rank))):
+        yield from map(orbit_types(lat.rs, level).__getitem__, level.label.tolist())
 
 
-def parabolic_summary(rs: RootSystem) -> OrbitSummary:
-    """One record per W-orbit of flats; a representative is its orbit's least mask."""
+def parabolic_summary(rs: RootSystem, levels: Iterable[Level]) -> OrbitSummary:
+    """One record per W-orbit of flats, from the walk's levels of ranks 0..r;
+    a representative is its orbit's least mask."""
     w = weyl_order(rs.ctype)
-    per_rank = []
-    for k in range(rs.rank + 1):
-        first, _, _, orbits, types = typed_level(rs, k)
-        records = []
-        for (place, size, _), ctype in zip(orbits, types):
+
+    def records(level: Level) -> tuple[OrbitRecord, ...]:
+        out = []
+        for (place, size, _), ctype in zip(level.orbits, orbit_types(rs, level)):
             if w % size:
                 raise InvariantViolation("orbit size must divide the group order")
-            records.append(OrbitRecord(first + place, size, w // size, ctype))
-        per_rank.append(tuple(records))
-    return OrbitSummary(tuple(per_rank), w)
+            out.append(OrbitRecord(level.first + place, size, w // size, ctype))
+        return tuple(out)
+
+    # map drops each level before the next is walked; a loop would hold two (E8: 250 MB, not 199).
+    return OrbitSummary(tuple(map(records, levels)), w)
 
 
 def weyl_act_point(rs: RootSystem, word: Sequence[int], point):

@@ -28,8 +28,8 @@ def lattice_of():
 
 def flat_level(rs, k):
     """The id of the first rank-k flat and the sorted rank-k masks, from the walk."""
-    first, keys, _, _ = walk_level(rs, k)
-    return first, key_masks(keys)
+    level = walk_level(rs, k)
+    return level.first, key_masks(level.keys)
 
 
 def join_by_closure(lat, x, y):

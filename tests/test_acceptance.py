@@ -28,6 +28,7 @@ from coxstrata.flats import (
     enumerate_rank_counts,
     join,
     leq,
+    walk,
     whitney_second,
 )
 from coxstrata.goodsub import (
@@ -105,7 +106,7 @@ def test_criterion_2_extended_e8_row():
     counts = enumerate_rank_counts(rs, max_flats=None)
     row = list(reversed(counts))
     _report(2, row == list(EXCEPTIONAL_ROWS["E8"]), f"E8 row {row}")
-    sizes = [sum(rec.size for rec in recs) for recs in parabolic_summary(rs).per_rank]
+    sizes = [sum(rec.size for rec in recs) for recs in parabolic_summary(rs, walk(rs)).per_rank]
     orbit_row = list(reversed(sizes))
     _report(2, orbit_row == list(EXCEPTIONAL_ROWS["E8"]), f"E8 orbit sizes {orbit_row}")
 
@@ -159,9 +160,9 @@ def test_criterion_5_parametrization_bijections(lattice_of):
 
 def test_criterion_6_affine_candidate_coverage(lattice_of):
     for name in RANK_LE_4:
-        rs, _ = lattice_of(name)
+        rs, lat = lattice_of(name)
         assert all(is_k_step_good(rs, m, 1) for _, m in bds_candidates(rs)), name
-        assert bds_covers_all(rs), name
+        assert bds_covers_all(rs, lat.level(rs.rank - 1)), name
     _report(6, True, f"coprime-pair candidates good + cover all orbits: {', '.join(RANK_LE_4)}")
 
 
@@ -212,7 +213,7 @@ def test_criterion_8_cohomology_ring(lattice_of):
 def test_criterion_9_orbit_bookkeeping(lattice_of):
     for name in RANK_LE_4 + ["E6"]:
         rs, lat = lattice_of(name)
-        summary = parabolic_summary(rs)
+        summary = parabolic_summary(rs, map(lat.level, range(rs.rank + 1)))
         for rank, recs in enumerate(summary.per_rank):
             total = sum(rec.size for rec in recs)
             assert total == whitney_second(lat, rs.rank - rank), (name, rank)

@@ -278,16 +278,9 @@ def test_export_equals_per_flat_classification_cold_and_warm(name, tmp_path, mon
 
 @pytest.mark.parametrize("name", ["B3", "F4"])
 def test_export_walks_each_rank_once_cold_and_warm(name, tmp_path, monkeypatch, capsys):
-    # The cold export reads the orbit labels that build_lattice kept; the
-    # warm one walks each rank once, when its types are first needed.
-    walked = []
-
-    def counting(rs, k):
-        walked.append(k)
-        return walk_level(rs, k)
-
-    monkeypatch.setattr("coxstrata.flats.walk_level", counting)
-    monkeypatch.setattr("coxstrata.weyl.walk_level", counting)
+    # The cold export reads the levels that build_lattice kept; the warm
+    # one walks each rank once, when its types are first needed.
+    walked = _count_walks(monkeypatch)
     rank = build_root_system(name).rank
     for fmt in ("json", "csv"):
         for _ in ("cold", "warm"):
@@ -342,6 +335,28 @@ def test_verify_commands(capsys):
         assert main(["verify", name, "--level", "quick"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out and "checks passed" in out
+
+
+def _count_walks(monkeypatch):
+    """Record the rank of every walk_level call; every walk goes through flats."""
+    walked = []
+
+    def counting(rs, k):
+        walked.append(k)
+        return walk_level(rs, k)
+
+    monkeypatch.setattr("coxstrata.flats.walk_level", counting)
+    return walked
+
+
+@pytest.mark.parametrize("argv", [["verify", "D4"], ["verify", "E6", "--level", "full"]])
+def test_verify_walks_each_rank_once(argv, monkeypatch, capsys):
+    # The lattice keeps its walk, and the goodsub and Weyl checks read it.
+    walked = _count_walks(monkeypatch)
+    assert main(argv) == 0
+    rank = build_root_system(argv[1]).rank
+    assert sorted(walked) == list(range(rank + 1))
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_verify_labels_checks_with_the_canonical_type(capsys):
@@ -400,8 +415,11 @@ def closed_form_counts(monkeypatch):
     return budgets
 
 
-def test_verify_e7_reads_rank_counts_only(closed_form_counts, capsys):
+def test_verify_e7_reads_rank_counts_only(closed_form_counts, monkeypatch, capsys):
+    # With no lattice, the orbit checks walk each rank once.
+    walked = _count_walks(monkeypatch)
     assert main(["verify", "E7"]) == 0
+    assert walked == list(range(8))
     lines = capsys.readouterr().out.splitlines()
     assert lines[:-1] == [
         f"PASS E7:{name}"
@@ -430,7 +448,7 @@ def test_verify_e8_budget_follows_allow_huge(closed_form_counts, monkeypatch, ca
     # Stand in for the E8 orbit walk (about a minute): record the counts it gets.
     seen = []
 
-    def weyl_checks(rs, counts):
+    def weyl_checks(rs, counts, levels):
         seen.append(counts)
         names = ["orbit-sizes-sum-to-rank-counts", "orbit-stabilizer-relation", "class-count-bound"]
         return [(name, True, "") for name in names]
@@ -499,6 +517,29 @@ def test_outputs_byte_identical_across_runs():
         b = run_cli(*args)
         assert a.returncode == b.returncode == 0, args
         assert a.stdout == b.stdout, args
+
+
+@pytest.mark.parametrize("text", ["a3", " A3 ", "A 3", "a03", "A3\t"])
+def test_type_is_read_by_the_cartan_type_grammar(text, capsys):
+    assert main(["betti", text]) == 0
+    assert capsys.readouterr().out == "1 7 6 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("A1xA2", "type must look like A3, B4, E8; got 'A1xA2'"),
+        ("a1 x a2", "type must look like A3, B4, E8; got 'a1 x a2'"),
+        ("A3x", "cannot parse type string 'A3x'"),
+        ("3A", "cannot parse type string '3A'"),
+        ("H3", "unknown family 'H'"),
+        ("E9", "E9 is not a valid type"),
+    ],
+)
+def test_malformed_or_reducible_type_is_a_usage_error(text, message, capsys):
+    for argv in (["betti", text], ["rootinfo", text], ["verify", text]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_usage_errors_exit_2():

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from conftest import additive_closure_by_tuple_sums, orbit_masks
 from coxstrata.betti import betti_row_closed_form
 from coxstrata.errors import MalformedDescriptor, NotClassical, NotGood, StarViolation
-from coxstrata.flats import whitney_second
+from coxstrata.flats import key_masks, walk_level, whitney_second
 from coxstrata.goodsub import (
     bds_candidates,
     bds_covers_all,
@@ -92,20 +93,37 @@ def test_bds_coprime_filter():
 def test_bds_covers_all_small_types(lattice_of):
     for name in ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
                  "D3", "D4", "G2", "F4"]:
-        rs, _ = lattice_of(name)
-        assert bds_covers_all(rs), name
+        rs, lat = lattice_of(name)
+        assert bds_covers_all(rs, lat.level(rs.rank - 1)), name
 
 
 @pytest.mark.parametrize("name", ["B3", "D4", "F4"])
 def test_bds_covers_all_fails_when_an_orbit_loses_its_candidates(name, monkeypatch):
     rs = build_root_system(name)
+    level = walk_level(rs, rs.rank - 1)
     candidates = bds_candidates(rs)
-    assert bds_covers_all(rs)
+    assert bds_covers_all(rs, level)
     for _, mask in candidates:
         orbit = orbit_masks(rs, mask)
         kept = [c for c in candidates if c[1] not in orbit]
         monkeypatch.setattr("coxstrata.goodsub.bds_candidates", lambda rs: kept)
-        assert not bds_covers_all(rs), rs.positions(mask)
+        assert not bds_covers_all(rs, level), rs.positions(mask)
+
+
+@pytest.mark.parametrize("cut", ["row", "tail"])
+@pytest.mark.parametrize("name", ["A3", "B3", "C4", "D4", "G2", "F4"])
+def test_bds_covers_all_fails_when_a_candidate_is_missing_from_the_level(name, cut):
+    # Without its row a candidate would read a neighbour's label, and
+    # without the rows from its place on it would fall past the last mask.
+    rs = build_root_system(name)
+    level = walk_level(rs, rs.rank - 1)
+    masks = key_masks(level.keys)
+    assert bds_covers_all(rs, level)
+    for mask in {m for _, m in bds_candidates(rs)}:
+        places = np.arange(len(masks))
+        keep = places != masks.index(mask) if cut == "row" else places < masks.index(mask)
+        short = level._replace(keys=level.keys[keep], label=level.label[keep])
+        assert not bds_covers_all(rs, short), rs.positions(mask)
 
 
 def test_parabolic_characterization(lattice_of):

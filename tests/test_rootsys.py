@@ -364,6 +364,15 @@ def test_out_of_range_subsets_are_refused():
         call(rs, [0, 5])
 
 
+def test_one_root_system_per_type():
+    # A string is memoized as its parsed type, so its lazy tables are built once.
+    e7 = build_root_system(CartanType.parse("E7"))
+    assert build_root_system("E7") is e7
+    assert build_root_system("e7") is e7
+    assert build_root_system(" e 7 ") is e7
+    assert build_root_system("E6") is not e7
+
+
 def test_deterministic_indexing():
     a = build_root_system.__wrapped__(CartanType.parse("B3"))
     b = build_root_system.__wrapped__(CartanType.parse("B3"))

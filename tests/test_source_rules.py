@@ -21,7 +21,8 @@ def test_no_safety_check_relies_on_assert():
 
 def test_no_module_imports_a_private_walk_helper():
     # Other modules reach the one W-orbit engine through flats.walk_level,
-    # flats.key_masks, IntersectionLattice.orbit_labels and weyl.typed_level.
+    # flats.walk, flats.key_masks, IntersectionLattice.level and the fields
+    # of the flats.Level records they return; weyl.orbit_types types them.
     offending = []
     for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

@@ -19,15 +19,15 @@ from conftest import (
 from coxstrata import build_root_system
 from coxstrata.betti import betti_row_closed_form
 from coxstrata.errors import InvariantViolation, LatticeMismatch, MalformedWord
-from coxstrata.flats import IntersectionLattice, join, whitney_second
+from coxstrata.flats import IntersectionLattice, join, walk, walk_level, whitney_second
 from coxstrata.rootsys import classify_subsystem, closure, reflect
 from coxstrata.strata import ExtendedPoint
 from coxstrata.weyl import (
     OrbitRecord,
     flat_types,
     orbit_of_flat,
+    orbit_types,
     parabolic_summary,
-    typed_level,
     weyl_act_point,
     weyl_order,
 )
@@ -52,7 +52,8 @@ def test_weyl_order_by_orbit_stabilizer():
     # Cross-check the derived orders: every orbit size times its
     # stabilizer order must give |W|, which fails unless the size divides it.
     for name in ["A3", "B3", "G2", "D4"]:
-        summary = parabolic_summary(build_root_system(name))
+        rs = build_root_system(name)
+        summary = parabolic_summary(rs, walk(rs))
         for recs in summary.per_rank:
             for rec in recs:
                 assert rec.size * rec.stabilizer_order == summary.weyl_order
@@ -103,21 +104,23 @@ def test_parabolic_summary_orbit_types(lattice_of):
         ],
     }
     for name, per_rank in expected.items():
-        summary = parabolic_summary(build_root_system(name))
+        rs = build_root_system(name)
+        summary = parabolic_summary(rs, walk(rs))
         got = [[str(rec.cartan_type) for rec in recs] for recs in summary.per_rank]
         assert got == per_rank, name
 
 
 def test_parabolic_summary_counts():
-    summary = parabolic_summary(build_root_system("A2"))
+    a2, b2, g2 = (build_root_system(name) for name in ("A2", "B2", "G2"))
+    summary = parabolic_summary(a2, walk(a2))
     assert summary.class_count == 3 <= 4
 
-    summ = parabolic_summary(build_root_system("B2"))
+    summ = parabolic_summary(b2, walk(b2))
     assert [len(r) for r in summ.per_rank] == [1, 2, 1]
     assert sorted(rec.size for rec in summ.per_rank[1]) == [2, 2]
     assert summ.class_count == 4
 
-    summg = parabolic_summary(build_root_system("G2"))
+    summg = parabolic_summary(g2, walk(g2))
     assert [rec.size for rec in summg.per_rank[1]] == [3, 3]
     assert all(rec.stabilizer_order == 4 for rec in summg.per_rank[1])
 
@@ -126,7 +129,7 @@ def test_orbit_sums_match_whitney(lattice_of):
     for name in ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
                  "D3", "D4", "G2", "F4"]:
         rs, lat = lattice_of(name)
-        summary = parabolic_summary(rs)
+        summary = parabolic_summary(rs, walk(rs))
         for rank, recs in enumerate(summary.per_rank):
             assert sum(rec.size for rec in recs) == whitney_second(lat, rs.rank - rank)
         assert summary.class_count <= 2**rs.rank
@@ -160,7 +163,9 @@ def _partition_of_levels(rs, lat):
 )
 def test_parabolic_summary_equals_partition_of_lattice_levels(name, lattice_of):
     rs, lat = lattice_of(name)
-    summary = parabolic_summary(rs)
+    summary = parabolic_summary(rs, walk(rs))
+    # The levels the lattice keeps give the summary that a fresh walk gives.
+    assert parabolic_summary(rs, map(lat.level, range(rs.rank + 1))) == summary
     assert summary.per_rank == _partition_of_levels(rs, lat)
     # The walk that numbers the representatives numbers every flat as the lattice does.
     for k, ids in enumerate(lat.by_rank):
@@ -203,6 +208,9 @@ def test_a_level_that_differs_from_the_walk_has_no_orbits(change, lattice_of):
     assert orbit_of_flat(rs, bad, bad.by_rank[1][0]) == orbit_of_flat(rs, lat, lat.by_rank[1][0])
     with pytest.raises(InvariantViolation, match="rank-2 level differs from the walk of B3"):
         orbit_of_flat(rs, bad, bad.by_rank[2][0])
+    # Rank 3 has the walk's masks, but not its ids.
+    with pytest.raises(InvariantViolation, match="rank-3 level differs from the walk of B3"):
+        orbit_of_flat(rs, bad, bad.by_rank[3][0])
     with pytest.raises(InvariantViolation):
         list(flat_types(bad))
 
@@ -218,9 +226,10 @@ def test_orbit_of_flat_refuses_a_lattice_of_another_type(lattice_of):
 def test_orbit_labels_partition_each_level_into_w_orbits(name, lattice_of):
     rs, lat = lattice_of(name)
     for k in range(rs.rank + 1):
-        first, _, label, orbits, types = typed_level(rs, k)
-        labels = label.tolist()
-        for i, (place, size, mask) in enumerate(orbits):
+        level = walk_level(rs, k)
+        first, labels, types = level.first, level.label.tolist(), orbit_types(rs, level)
+        assert len(types) == len(level.orbits)
+        for i, (place, size, mask) in enumerate(level.orbits):
             orbit = orbit_of_flat(rs, lat, first + place)
             assert lat.flat(first + place).mask == mask
             assert {first + q for q, lab in enumerate(labels) if lab == i} == orbit
@@ -244,7 +253,8 @@ def test_multiword_walk_equals_python_int_orbits(name):
 
 
 def test_e7_orbit_sizes_give_the_stored_row():
-    summary = parabolic_summary(build_root_system("E7"))
+    rs = build_root_system("E7")
+    summary = parabolic_summary(rs, walk(rs))
     sizes = [sum(rec.size for rec in recs) for recs in summary.per_rank]
     assert sizes == list(reversed(betti_row_closed_form("E7")))
     assert summary.class_count == 32
