@@ -22,7 +22,6 @@ from .flats import (
 from .goodsub import (
     bds_candidates,
     bds_covers_all,
-    classical_omit_node,
     is_k_step_good,
     param_F,
     param_G,

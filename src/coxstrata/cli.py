@@ -382,7 +382,7 @@ def cmd_member(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import verify_battery, verify_type
 
-    if args.type:
+    if args.type is not None:
         check_flat_budget(_parse_type(args.type), _budget(args))
         checks = verify_type(args.type, args.level, allow_huge=args.allow_huge)
     else:

@@ -11,7 +11,7 @@ class InvalidRank(CoxstrataError):
     """Family/rank combination is not a valid Cartan type."""
 
 
-class NotSpanClosed(CoxstrataError):
+class NotAdditivelyClosed(CoxstrataError):
     """A root subset is not additively closed."""
 
 

@@ -11,6 +11,11 @@ conditions; descriptors are:
     type B/C  (i,)         the i-th coordinate root (doubled in C)
               (i, j, s)    e_i + e_j for s='+', e_i - e_j for s='-'
     type D    (i, j, s)    same pair encoding, i < j
+
+A descriptor runs from a first to a second endpoint; (i,) is its own
+second endpoint.  A parameter set keeps, for each first endpoint, the
+descriptors with the smallest second endpoint (the shadow rule), so a
+coordinate root (i,) is always kept and shadows every pair from i.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from .errors import InvariantViolation, MalformedDescriptor, NotClassical, NotGood, StarViolation
-from .flats import Level, key_masks, parabolic_flat
+from .flats import Level, key_masks
 from .rootsys import (
     CartanType,
     RootSystem,
@@ -58,24 +63,14 @@ def bds_candidates(rs: RootSystem) -> list[tuple[tuple[int, int], int]]:
 def bds_covers_all(rs: RootSystem, level: Level) -> bool:
     """Every candidate is good and every good subsystem is W-conjugate to one.
 
-    A good candidate is a flat of the walk's rank-(r-1) level, so its place
-    there names its W-orbit; the candidates must be found and name every orbit.
+    A candidate found in the walk's rank-(r-1) level is a flat, hence good,
+    and its place names its W-orbit; the candidates must name every orbit.
     """
     masks = key_masks(level.keys)
     places = {mask: bisect_left(masks, mask) for _, mask in bds_candidates(rs)}
-    if not all(masks[p : p + 1] == [m] and is_k_step_good(rs, m, 1) for m, p in places.items()):
+    if not all(masks[p : p + 1] == [m] for m, p in places.items()):
         return False
     return len({level.label[p] for p in places.values()}) == len(level.orbits)
-
-
-def classical_omit_node(rs: RootSystem, i: int) -> int:
-    """Subsystem generated by the simple roots but the i-th: their flat Phi_J."""
-    family = rs.ctype.factors[0][0]
-    if family not in "ABCD":
-        raise NotClassical(f"{rs.ctype} is not classical")
-    if not 1 <= i <= rs.rank:
-        raise MalformedDescriptor(f"node {i} outside 1..{rs.rank}")
-    return parabolic_flat(rs, (1 << rs.rank) - 1 - (1 << (i - 1)))
 
 
 # -- descriptor plumbing -----------------------------------------------------
@@ -87,7 +82,14 @@ def _family(rs_or_type) -> tuple[str, int]:
         ctype = CartanType.parse(ctype)
     if not ctype.is_irreducible:
         raise NotClassical("parametrization is per irreducible type")
+    if ctype.factors[0][0] not in "ABCD":
+        raise NotClassical(f"{ctype} is not classical")
     return ctype.factors[0]
+
+
+def _ends(desc: Descriptor) -> tuple[int, int]:
+    """First and second endpoint; a coordinate root (i,) is its own second one."""
+    return desc[0], desc[0] if len(desc) == 1 else desc[1]
 
 
 def _descriptor_root(rs: RootSystem, family: str, desc: Descriptor) -> int:
@@ -119,8 +121,6 @@ def _root_descriptor(rs: RootSystem, family: str, index: int) -> Descriptor:
 def descriptors_of(rs: RootSystem, mask: int) -> set[Descriptor]:
     """Descriptor set of the positive roots of a classical subsystem."""
     family, _ = _family(rs)
-    if family not in "ABCD":
-        raise NotClassical(f"{rs.ctype} is not classical")
     return {_root_descriptor(rs, family, i) for i in rs.positive_indices(mask)}
 
 
@@ -143,20 +143,16 @@ def _validate(family: str, rank: int, P: Iterable[Descriptor]) -> list[Descripto
 
 
 def star_check(ptype: CartanType | str, P: Iterable[Descriptor]) -> bool:
-    """Check the star conditions of the matching classical family."""
+    """Check the star conditions of the matching classical family.
+
+    In types A, B and C no two descriptors share a first or a second endpoint.
+    """
     family, rank = _family(ptype)
-    if family not in "ABCD":
-        raise NotClassical(f"{ptype} is not classical")
     descs = _validate(family, rank, P)
-    if family == "A":
-        firsts = [d[0] for d in descs]
-        seconds = [d[1] for d in descs]
-        return len(set(firsts)) == len(descs) and len(set(seconds)) == len(descs)
-    if family in "BC":
-        firsts = [d[0] for d in descs]
-        seconds = [d[0] if len(d) == 1 else d[1] for d in descs]
-        return len(set(firsts)) == len(descs) and len(set(seconds)) == len(descs)
-    return _star_check_d(descs)
+    if family == "D":
+        return _star_check_d(descs)
+    ends = [_ends(d) for d in descs]
+    return len({i for i, _ in ends}) == len({j for _, j in ends}) == len(descs)
 
 
 def _star_check_d(descs: list[Descriptor]) -> bool:
@@ -190,48 +186,24 @@ def _star_check_d(descs: list[Descriptor]) -> bool:
 def param_F(rs: RootSystem, subsystem: int | Iterable[int]) -> frozenset[Descriptor]:
     """Canonical descriptor set of a k-step good subsystem.
 
-    Keeps, per type, the descriptors not shadowed by a shorter one with
-    a shared endpoint; in type D the plus member of every chain pair
-    except the last is dropped so the set has cardinality r-k.
+    Keeps each descriptor that no other one shadows: one with the same
+    first endpoint and a smaller second one.  A coordinate root (i,) is
+    its own second endpoint, so it is always kept and drops every pair
+    from i.  In type D the plus member of every chain pair except the last
+    is then dropped, so the set has cardinality r-k.
     """
-    family, rank = _family(rs)
-    if family not in "ABCD":
-        raise NotClassical(f"{rs.ctype} is not classical")
+    family, _ = _family(rs)
     mask = rs.as_mask(subsystem)
     if closure(rs, mask) != mask:
         raise NotGood("subsystem is not span-closed")
     descs = descriptors_of(rs, mask)
-
-    if family == "A":
-        kept = {
-            (i, j)
-            for (i, j) in descs
-            if not any((i, jp) in descs for jp in range(i, j))
-            and not any((ip, j) in descs for ip in range(i + 1, j + 1))
-        }
+    nearest: dict[int, int] = {}
+    for i, j in map(_ends, descs):
+        nearest[i] = min(j, nearest.get(i, j))
+    kept = {d for d in descs if _ends(d)[1] == nearest[d[0]]}
+    if family != "D":
         return frozenset(kept)
 
-    singles = {d[0] for d in descs if len(d) == 1}
-    pair_points = {(d[0], d[1]) for d in descs if len(d) == 3}
-
-    if family in "BC":
-        kept: set[Descriptor] = {(i,) for i in singles}
-        for d in descs:
-            if len(d) != 3:
-                continue
-            i, j, s = d
-            left_hit = i in singles or any((i, jp) in pair_points for jp in range(i + 1, j))
-            right_hit = j in singles or any((ip, j) in pair_points for ip in range(i + 1, j))
-            if not left_hit and not right_hit:
-                kept.add(d)
-        return frozenset(kept)
-
-    kept = set()
-    for i, j, s in descs:
-        left_hit = any((i, jp) in pair_points for jp in range(i + 1, j))
-        right_hit = any((ip, j) in pair_points for ip in range(i + 1, j))
-        if not left_hit and not right_hit:
-            kept.add((i, j, s))
     by_pair: dict[tuple[int, int], set[str]] = {}
     for i, j, s in kept:
         by_pair.setdefault((i, j), set()).add(s)

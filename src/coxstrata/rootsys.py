@@ -19,7 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidId, InvalidRank, InvariantViolation, MagnitudeOverflow, NotSpanClosed
+from .errors import InvalidId, InvalidRank, InvariantViolation, MagnitudeOverflow
+from .errors import NotAdditivelyClosed
 from .linalg import bareiss_rank, integer_kernel
 
 RANK_BOUNDS = {
@@ -58,7 +59,7 @@ class CartanType:
     def parse(cls, text: str) -> "CartanType":
         factors = []
         for part in "".join(text.split()).split("x"):
-            if len(part) < 2 or not part[0].isalpha() or not part[1:].isdigit():
+            if len(part) < 2 or not part[0].isalpha() or not part[1:].isdecimal():
                 raise InvalidRank(f"cannot parse type string {text!r}")
             factors.append((part[0].upper(), int(part[1:])))
         if not factors:
@@ -364,14 +365,14 @@ def classify_subsystem(rs: RootSystem, subset: int | Iterable[int]) -> CartanTyp
     """Cartan type of a closed subsystem, as a canonically ordered product.
 
     Any additively closed, negation-closed subset is itself a root
-    system and is accepted, span-closed or not; NotSpanClosed refuses a
+    system and is accepted, span-closed or not; NotAdditivelyClosed refuses a
     subset that is not additively closed.  Flats are the common case.
     Its irreducible components are the classes of its positive roots
     under "not orthogonal", and each is named by its rank and root counts.
     """
     mask = rs.as_mask(subset)
     if not is_closed(rs, mask):
-        raise NotSpanClosed("subsystem is not additively closed")
+        raise NotAdditivelyClosed("subsystem is not additively closed")
     left = [rs.roots[i] for i in rs.positive_indices(mask)]
     factors = []
     while left:

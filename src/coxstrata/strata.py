@@ -50,11 +50,6 @@ def _relation(target: Sequence[int], basis: Sequence[Sequence[int]]) -> IntVec |
     return kernel[0] if len(kernel) == 1 and kernel[0][0] else None
 
 
-def _solved_value(relation: IntVec, values: Sequence[Fraction]) -> Fraction:
-    """The target's value, -sum(x[i] * values[i - 1]) / x[0], over a relation x."""
-    return -sum((c * v for c, v in zip(relation[1:], values)), Fraction(0)) / relation[0]
-
-
 @dataclass(frozen=True)
 class Functional:
     """A linear functional on the span of a flat, by values on a root basis."""
@@ -63,11 +58,15 @@ class Functional:
     values: tuple[Fraction, ...]
 
     def evaluate(self, rs: RootSystem, position: int) -> Fraction | None:
-        """Value at the positive root in the given position; None off-span."""
+        """Value at the positive root in the given position; None off-span.
+
+        Over the relation x with the basis, it is -sum(x[i] * values[i - 1]) / x[0].
+        """
         basis = [rs.roots[rs.positives[p]] for p in self.basis_positions]
-        target = rs.roots[rs.positives[position]]
-        relation = _relation(target, basis)
-        return None if relation is None else _solved_value(relation, self.values)
+        x = _relation(rs.roots[rs.positives[position]], basis)
+        if x is None:
+            return None
+        return -sum((c * v for c, v in zip(x[1:], self.values)), Fraction(0)) / x[0]
 
 
 @dataclass(frozen=True)
@@ -191,21 +190,18 @@ def limit_point(
     set to a larger flat's mask, coordinates outside it are infinity and
     the construction happens inside that flat instead.
     """
-    lam0_pos = rs.position(lam0)
-    basis = [rs.roots[rs.positives[p]] for p in witness.basis_positions]
-    ext_basis = basis + [rs.roots[rs.positives[lam0_pos]]]
-    ext_values = list(witness.values) + [Fraction(t)]
-    ambient_positions = (
-        list(range(rs.d)) if within is None else rs.positions(within)
+    ext = Functional(
+        witness.basis_positions + (rs.position(lam0),), witness.values + (Fraction(t),)
     )
-    if within is None and bareiss_rank(ext_basis) != rs.rank:
-        raise SpanDeficient("auxiliary root does not complete the span")
+    if within is None:
+        if bareiss_rank([rs.roots[rs.positives[p]] for p in ext.basis_positions]) != rs.rank:
+            raise SpanDeficient("auxiliary root does not complete the span")
+        within = rs.full_mask
     values: list[Value] = [None] * rs.d
-    for p in ambient_positions:
-        relation = _relation(rs.roots[rs.positives[p]], ext_basis)
-        if relation is None:
+    for p in rs.positions(within):
+        values[p] = ext.evaluate(rs, p)
+        if values[p] is None:
             raise SpanDeficient("a coordinate in the ambient flat is not determined")
-        values[p] = _solved_value(relation, ext_values)
     return ExtendedPoint(tuple(values))
 
 

@@ -534,6 +534,8 @@ def test_type_is_read_by_the_cartan_type_grammar(text, capsys):
         ("3A", "cannot parse type string '3A'"),
         ("H3", "unknown family 'H'"),
         ("E9", "E9 is not a valid type"),
+        ("", "cannot parse type string ''"),
+        ("A\u00b2", "cannot parse type string 'A\u00b2'"),
     ],
 )
 def test_malformed_or_reducible_type_is_a_usage_error(text, message, capsys):

@@ -10,7 +10,6 @@ from coxstrata.flats import key_masks, walk_level, whitney_second
 from coxstrata.goodsub import (
     bds_candidates,
     bds_covers_all,
-    classical_omit_node,
     descriptors_of,
     is_k_step_good,
     param_F,
@@ -135,39 +134,6 @@ def test_parabolic_characterization(lattice_of):
             assert classify_subsystem(rs, lat.flats[fid].mask) in cand_types
 
 
-def test_classical_omit_node(lattice_of):
-    a3, _ = lattice_of("A3")
-    assert classify_subsystem(a3, classical_omit_node(a3, 2)) == CartanType.parse("A1xA1")
-
-    a2, _ = lattice_of("A2")
-    omit1 = classical_omit_node(a2, 1)
-    assert omit1 == a2.as_mask([a2.simples[1]])
-
-    b3, _ = lattice_of("B3")
-    assert classify_subsystem(b3, classical_omit_node(b3, 1)) == CartanType.parse("B2")
-    for i in (1, 2, 3):
-        assert is_k_step_good(b3, classical_omit_node(b3, i), 1)
-
-    g2, _ = lattice_of("G2")
-    with pytest.raises(NotClassical):
-        classical_omit_node(g2, 1)
-    with pytest.raises(MalformedDescriptor):
-        classical_omit_node(b3, 4)
-
-
-@pytest.mark.parametrize(
-    "name",
-    [f"A{r}" for r in range(1, 9)]
-    + [f"{family}{r}" for family in "BC" for r in range(2, 7)]
-    + [f"D{r}" for r in range(3, 9)],
-)
-def test_classical_omit_node_is_the_closure_of_the_other_simple_roots(name):
-    rs = build_root_system(name)
-    for i in range(1, rs.rank + 1):
-        others = [s for n, s in enumerate(rs.simples, start=1) if n != i]
-        assert classical_omit_node(rs, i) == closure(rs, others), i
-
-
 @pytest.mark.parametrize("name", ["A1", "A4", "B3", "C4", "D5", "G2", "F4", "E6", "E7", "E8"])
 def test_bds_candidates_match_the_tuple_sum_closure(name):
     rs = build_root_system(name)
@@ -276,6 +242,18 @@ def test_round_trips_and_counts(lattice_of):
             for fid in lat.by_rank[r - k]:
                 mask = lat.flats[fid].mask
                 assert param_G(rs, param_F(rs, mask)) == mask
+
+
+@pytest.mark.parametrize("name", ["A6", "B5", "C5", "D5", "D6"])
+def test_every_flat_round_trips_through_its_parameter_set(name, lattice_of):
+    # The star-set round trips above stop at rank 4; these reach the type D
+    # chain step at ranks 5 and 6.
+    rs, lat = lattice_of(name)
+    for f in lat.flats:
+        P = param_F(rs, f.mask)
+        assert len(P) == f.rank, sorted(P)
+        assert star_check(name, P), sorted(P)
+        assert param_G(rs, P) == f.mask, sorted(P)
 
 
 def test_descriptors_of_roundtrip(lattice_of):

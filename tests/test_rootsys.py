@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PROPERTY_TYPES, additive_closure_by_tuple_sums, fraction_solve, root_indices
-from coxstrata.errors import InvalidId, InvalidRank, InvariantViolation, NotSpanClosed
+from coxstrata.errors import InvalidId, InvalidRank, InvariantViolation, NotAdditivelyClosed
 from coxstrata.goodsub import is_k_step_good
 from coxstrata.rootsys import (
     CartanType,
@@ -298,7 +298,7 @@ def test_classify_requires_span_closed():
     rs = build_root_system("A2")
     a1 = rs.index[(1, -1, 0)]
     a2 = rs.index[(0, 1, -1)]
-    with pytest.raises(NotSpanClosed):
+    with pytest.raises(NotAdditivelyClosed):
         classify_subsystem(rs, rs.as_mask([a1, a2]))
 
 
@@ -340,7 +340,7 @@ def test_classify_refuses_exactly_the_subsets_the_span_guard_refused(name):
         refused = closure(rs, mask) != mask and not _is_closed_by_tuple_sums(rs, mask)
         try:
             classify_subsystem(rs, mask)
-        except NotSpanClosed:
+        except NotAdditivelyClosed:
             assert refused, mask
         else:
             assert not refused, mask
