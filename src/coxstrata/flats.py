@@ -264,11 +264,13 @@ def _sweep(rs: RootSystem, workers: int) -> list[int]:
 # -- the W-orbit walk --------------------------------------------------------
 #
 # Every rank-k flat is W-conjugate to a parabolic flat closure(J) with k
-# simple roots J (Orlik-Solomon), so a breadth-first walk under the simple
-# reflections from those flats meets every rank-k flat.  A mask is a row of
-# ceil(d/64) uint64 words, high word first, so row order is mask order.
-# Simple reflections are involutions, so a new BFS layer can only repeat
-# the two layers before it.
+# simple roots J (Orlik-Solomon), so one breadth-first walk under the simple
+# reflections from all those flats at once meets every rank-k flat.  A mask
+# is a row of ceil(d/64) uint64 words, high word first, so row order is mask
+# order.  Each row carries the ordinal of its start as a label; where equal
+# rows carry labels of different W-orbits, those orbits are one and a
+# union-find over the starts merges them.  Simple reflections are
+# involutions, so a new BFS layer can only repeat the two layers before it.
 
 
 def _keys(rs: RootSystem, masks: list[int]) -> np.ndarray:
@@ -286,10 +288,9 @@ def key_masks(keys: np.ndarray) -> list[int]:
     return masks
 
 
-def _order(keys: np.ndarray, *minor: np.ndarray) -> np.ndarray:
-    # A tuple of columns: stacking the words with an int column would cast
-    # them to float64 and merge distinct masks.
-    return np.lexsort((*minor, *keys.T[::-1]))
+def _order(keys: np.ndarray) -> np.ndarray:
+    # lexsort is stable: equal rows keep their order, which walk_level reads.
+    return np.lexsort(keys.T[::-1])
 
 
 def _images(rs: RootSystem, keys: np.ndarray) -> np.ndarray:
@@ -311,25 +312,6 @@ def _images(rs: RootSystem, keys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fresh(cand: np.ndarray, old: np.ndarray) -> np.ndarray:
-    """The distinct rows of cand that are no rows of old, sorted."""
-    keys = np.concatenate([old, cand])
-    is_cand = np.arange(len(keys)) >= len(old)
-    order = _order(keys, is_cand)
-    keys, is_cand = keys[order], is_cand[order]
-    return keys[is_cand & np.append(True, (keys[1:] != keys[:-1]).any(axis=1))]
-
-
-def _orbit(rs: RootSystem, start: np.ndarray) -> np.ndarray:
-    """The keys of the W-orbit of the one-row start, in BFS order."""
-    prev, frontier, layers = start[:0], start, []
-    while len(frontier):
-        layers.append(frontier)
-        cand = _images(rs, frontier)
-        prev, frontier = frontier, _fresh(cand, np.concatenate([prev, frontier]))
-    return np.concatenate(layers)
-
-
 def parabolic_flat(rs: RootSystem, simple_set: int) -> int:
     """closure(J) for the simple roots J whose ordinals are the set bits.
 
@@ -340,24 +322,50 @@ def parabolic_flat(rs: RootSystem, simple_set: int) -> int:
 
 
 def walk_level(rs: RootSystem, k: int) -> Level:
-    """Rank k of the walk, from the parabolic flats of rank k."""
-    starts = {parabolic_flat(rs, sum(1 << j for j in J)) for J in combinations(range(rs.rank), k)}
-    todo = _keys(rs, sorted(starts))
-    orbits = []
-    while len(todo):
-        orbits.append(_orbit(rs, todo[:1]))
-        todo = _fresh(todo, orbits[-1])
-    walk = np.concatenate(orbits)
+    """Rank k of the walk: one BFS from all the parabolic flats of rank k.
+
+    Each layer sorts the two layers before it together with the new images.
+    The sort is stable, so a row met before comes first among its equals,
+    and an image that heads its run of equal rows is new.
+    """
+    simple_sets = (sum(1 << j for j in J) for J in combinations(range(rs.rank), k))
+    starts = sorted({parabolic_flat(rs, J) for J in simple_sets})
+    # find[a] is the least start of a's orbit so far, for every start a.
+    find = np.arange(len(starts), dtype=np.min_scalar_type(len(starts)))
+    frontier, tag = _keys(rs, starts), find.copy()
+    prev, prev_tag, layers, tags = frontier[:0], tag[:0], [], []
+    while len(frontier):
+        layers.append(frontier)
+        tags.append(tag)
+        cand = np.concatenate([prev, frontier, _images(rs, frontier)])
+        order = _order(cand)
+        cand = cand[order]
+        cand_tag = find[np.concatenate([prev_tag, tag, np.repeat(tag, rs.rank)])[order]]
+        new = np.append(True, (cand[1:] != cand[:-1]).any(axis=1))
+        meet = ~new[1:] & (cand_tag[1:] != cand_tag[:-1])
+        for a, b in set(zip(cand_tag[:-1][meet].tolist(), cand_tag[1:][meet].tolist())):
+            lo, hi = sorted((find[a], find[b]))
+            find[find == hi] = lo
+        keep = new & (order >= len(prev) + len(frontier))
+        prev, prev_tag, frontier, tag = frontier, tag, cand[keep], cand_tag[keep]
+    walk = np.concatenate(layers)
+    del layers  # one copy of the rank at a time keeps the peak RSS of E8 down
     order = _order(walk)
-    label = np.repeat(np.arange(len(orbits)), [len(o) for o in orbits])[order]
-    _, least, size = np.unique(label, return_index=True, return_counts=True)
-    # Number the orbits by their least place, the order they are returned in.
-    by_least = np.argsort(least)
-    least, size, label = least[by_least], size[by_least], np.argsort(by_least)[label]
     keys = walk[order]
+    del walk
+    root = find[np.concatenate(tags)[order]]
+    del order
+    # Number the orbits by their least place, the order they are returned in.
+    heads = np.flatnonzero(find == np.arange(len(starts)))
+    least = np.array([np.argmax(root == a) for a in heads])
+    number = np.zeros(len(starts), np.int64)
+    number[heads[np.argsort(least)]] = np.arange(len(heads))
+    label = number[root]
+    least = np.sort(least)
     first = sum(list(reversed(betti_row_closed_form(rs.ctype)))[:k])
     # Only the least flats become ints: E8's whole rank 2 would take 360 MB.
-    return Level(first, keys, label, list(zip(least.tolist(), size.tolist(), key_masks(keys[least]))))
+    orbits = list(zip(least.tolist(), np.bincount(label).tolist(), key_masks(keys[least])))
+    return Level(first, keys, label, orbits)
 
 
 def walk(rs: RootSystem) -> Iterator[Level]:
@@ -379,13 +387,22 @@ def walk_rank_counts(rs: RootSystem, *, max_flats: int | None = DEFAULT_FLAT_BUD
     return [len(walk_level(rs, k).keys) for k in range(rs.rank + 1)]
 
 
-def _moves(rs: RootSystem, keys: np.ndarray) -> np.ndarray:
-    """Row s, column x: the place of s(x) in the sorted level."""
-    n, r = len(keys), rs.rank
+def _moves(rs: RootSystem, level: Level) -> np.ndarray:
+    """Row s, column x: the place of s(x) in the sorted level.
+
+    Raises InvariantViolation unless each s maps the level onto itself and
+    keeps every flat in its W-orbit.
+    """
+    keys, n, r = level.keys, len(level.keys), rs.rank
     images = _images(rs, keys).reshape(n, r, -1)
     moves = np.empty((r, n), np.int64)
     for s in range(r):
-        moves[s, _order(images[:, s])] = np.arange(n)
+        order = _order(images[:, s])
+        if not np.array_equal(images[order, s], keys):
+            raise InvariantViolation(f"reflection {s} of {rs.ctype} moves a flat off its level")
+        moves[s, order] = np.arange(n)
+        if not np.array_equal(level.label[moves[s]], level.label):
+            raise InvariantViolation(f"reflection {s} of {rs.ctype} moves a flat off its orbit")
     return moves
 
 
@@ -430,7 +447,7 @@ def build_lattice(
     check_flat_budget(rs.ctype, max_flats)
     walks = list(walk(rs))
     levels = [key_masks(level.keys) for level in walks]
-    moves = [_moves(rs, level.keys) for level in walks]
+    moves = [_moves(rs, level) for level in walks]
     # Covers share one int object per id; 892,102 E7 covers would not.
     ids = list(range(sum(map(len, levels))))
     covers: list[tuple[int, int]] = []

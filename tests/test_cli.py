@@ -703,7 +703,7 @@ def test_member_mask_missing_from_its_level_is_an_invariant_violation(monkeypatc
 def test_good_classical_param_refuses_exceptional_types_before_any_walk(
     name, monkeypatch, capsys
 ):
-    monkeypatch.setattr("coxstrata.flats._orbit", _refuse_to_build)
+    monkeypatch.setattr("coxstrata.flats._images", _refuse_to_build)
     monkeypatch.setattr("coxstrata.cli.build_lattice", _refuse_to_build)
     assert main(["good", name, "--classical-param"]) == 2
     assert capsys.readouterr().err == f"error: {name} is not classical\n"
@@ -727,7 +727,7 @@ def _no_sweep(*args, **kwargs):
 )
 def test_over_budget_e8_is_refused_before_any_enumeration(argv, monkeypatch, capsys):
     monkeypatch.setattr("coxstrata.flats._sweep", _no_sweep)
-    monkeypatch.setattr("coxstrata.flats._orbit", _no_sweep)
+    monkeypatch.setattr("coxstrata.flats._images", _no_sweep)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: flat budget 120000 exceeded: E8 has 5506504 flats")

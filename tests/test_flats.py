@@ -5,9 +5,10 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import coxstrata
@@ -22,7 +23,11 @@ from coxstrata.errors import (
 )
 from coxstrata.flats import (
     IntersectionLattice,
+    Level,
     _expand_flat,
+    _images,
+    _keys,
+    _moves,
     brute_force_flats,
     build_lattice,
     char_poly,
@@ -30,9 +35,11 @@ from coxstrata.flats import (
     enumerate_rank_counts,
     flat_id,
     join,
+    key_masks,
     leq,
     mobius_table,
     parabolic_flat,
+    walk_level,
     walk_rank_counts,
     whitney_second,
 )
@@ -273,7 +280,7 @@ def test_budget_is_checked_against_the_exact_flat_count(monkeypatch):
     check_flat_budget(rs.ctype, 116)
     check_flat_budget(rs.ctype, None)
     monkeypatch.setattr("coxstrata.flats._sweep", _no_sweep)
-    monkeypatch.setattr("coxstrata.flats._orbit", _no_sweep)
+    monkeypatch.setattr("coxstrata.flats._images", _no_sweep)
     for route in (build_lattice, enumerate_rank_counts, walk_rank_counts):
         with pytest.raises(ResourceLimit, match=r"^flat budget 115 exceeded: B4 has 116 flats$"):
             route(rs, max_flats=115)
@@ -321,6 +328,104 @@ def test_walk_and_transported_covers_equal_expansion_of_every_flat(name, lattice
     levels, covers = _lattice_by_expansion(rs)
     assert [[lat.flats[i].mask for i in ids] for ids in lat.by_rank] == levels
     assert lat.covers == covers
+
+
+def _walk_by_orbit(rs, k):
+    """Oracle: rank k walked by one BFS per W-orbit, each from the least
+    parabolic flat that no earlier orbit met, orbits numbered by least place."""
+
+    def fresh(cand, old):  # the distinct rows of cand that are no rows of old, sorted
+        rows = np.concatenate([old, cand])
+        is_cand = np.arange(len(rows)) >= len(old)
+        order = np.lexsort((is_cand, *rows.T[::-1]))
+        rows, is_cand = rows[order], is_cand[order]
+        return rows[is_cand & np.append(True, (rows[1:] != rows[:-1]).any(axis=1))]
+
+    simple_sets = (sum(1 << j for j in J) for J in combinations(range(rs.rank), k))
+    todo, orbits = _keys(rs, sorted({parabolic_flat(rs, J) for J in simple_sets})), []
+    while len(todo):
+        prev, frontier, layers = todo[:0], todo[:1], []
+        while len(frontier):
+            layers.append(frontier)
+            prev, frontier = frontier, fresh(_images(rs, frontier), np.concatenate([prev, frontier]))
+        orbits.append(np.concatenate(layers))
+        todo = fresh(todo, orbits[-1])
+    walk = np.concatenate(orbits)
+    order = np.lexsort(walk.T[::-1])
+    label = np.repeat(np.arange(len(orbits)), [len(o) for o in orbits])[order]
+    _, least, size = np.unique(label, return_index=True, return_counts=True)
+    by_least = np.argsort(least)
+    least, size, label = least[by_least], size[by_least], np.argsort(by_least)[label]
+    keys = walk[order]
+    first = sum(betti_row_closed_form(rs.ctype)[::-1][:k])
+    return Level(first, keys, label, list(zip(least.tolist(), size.tolist(), key_masks(keys[least]))))
+
+
+def _assert_same_level(level, oracle):
+    assert level.first == oracle.first
+    assert level.keys.dtype == oracle.keys.dtype and level.keys.shape == oracle.keys.shape
+    assert level.keys.tobytes() == oracle.keys.tobytes()
+    assert level.label.dtype == oracle.label.dtype == np.int64
+    assert level.label.tolist() == oracle.label.tolist()
+    assert level.orbits == oracle.orbits
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"A{r}" for r in range(1, 7)]
+    + [f"B{r}" for r in range(2, 6)]
+    + [f"C{r}" for r in range(2, 6)]
+    + ["D4", "D5", "G2", "F4", "E6"],
+)
+def test_one_bfs_per_rank_equals_one_bfs_per_orbit(name):
+    rs = build_root_system(name)
+    for k in range(rs.rank + 1):
+        _assert_same_level(walk_level(rs, k), _walk_by_orbit(rs, k))
+
+
+@pytest.mark.parametrize("name, orbits", [("A3", 1), ("B3", 2)])
+def test_rank_one_starts_merge_into_their_orbits(name, orbits):
+    # Each simple root is a rank-1 parabolic flat: 3 starts, one BFS.
+    rs = build_root_system(name)
+    assert len({parabolic_flat(rs, 1 << j) for j in range(rs.rank)}) == 3
+    level = walk_level(rs, 1)
+    assert len(level.orbits) == orbits
+    assert sorted(set(level.label.tolist())) == list(range(orbits))
+    _assert_same_level(level, _walk_by_orbit(rs, 1))
+
+
+def test_moves_refuses_a_level_with_a_key_dropped():
+    rs = build_root_system("B4")
+    level = walk_level(rs, 2)
+    assert _moves(rs, level).shape == (4, len(level.keys))
+    broken = level._replace(keys=np.delete(level.keys, 5, axis=0), label=np.delete(level.label, 5))
+    with pytest.raises(InvariantViolation, match="^reflection [0-3] of B4 moves a flat off its level$"):
+        _moves(rs, broken)
+
+
+def test_moves_refuses_an_orbit_split_in_two():
+    rs = build_root_system("B4")
+    level = walk_level(rs, 2)
+    least = next(place for place, size, _ in level.orbits if size > 1)
+    label = level.label.copy()
+    label[least] = len(level.orbits)
+    with pytest.raises(InvariantViolation, match="^reflection [0-3] of B4 moves a flat off its orbit$"):
+        _moves(rs, level._replace(label=label))
+
+
+def test_the_walk_does_not_import_numpy_ma():
+    # A plain np.unique(x) imports numpy.ma on first use: that took the first
+    # A6 walk of a fresh process from about 2 ms to 6-9 ms.
+    code = (
+        "import sys\n"
+        "from coxstrata.flats import walk_rank_counts\n"
+        "from coxstrata.rootsys import build_root_system\n"
+        "walk_rank_counts(build_root_system('A6'))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(coxstrata.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("name", ["A4", "B4", "F4", "E8"])
