@@ -3,20 +3,19 @@
 Flats are canonical span-closed root subsystems, stored as bit masks
 over positive-root positions and graded by span dimension.
 
-Every command that enumerates flats (`betti --method enum`, `lattice`,
-`cup`, `orbits`, `good`, `member`, `verify`) reads the W-orbit walk,
-`walk_level`, one rank at a time, as a `Level`.  `build_lattice` keeps
-each rank's `Level`; a lattice made from levels and covers alone walks a
-rank when it is first read (`IntersectionLattice.level`).  The closure sweep
-`enumerate_rank_counts` is the independent second route to the counts
-that `verify` checks the walk against; `verify` runs it in one process.
+Every command that enumerates flats reads the W-orbit walk one rank at a time:
+`betti --method enum` and `member` read its BFS layers (`walk_rank_counts`,
+`flat_id`), the others `walk_level`, the rank sorted into a `Level`.
+`build_lattice` keeps each rank's `Level`; a lattice made from levels and covers
+alone walks a rank when it is first read (`IntersectionLattice.level`).  The
+closure sweep `enumerate_rank_counts` is the independent second route to the
+counts that `verify` checks the walk against; `verify` runs it in one process.
 """
 
 from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, repeat
 from typing import Iterator, NamedTuple
@@ -242,6 +241,7 @@ def _sweep(rs: RootSystem, workers: int) -> list[int]:
     try:
         for _ in range(rs.rank):
             if workers > 1 and len(frontier) >= 64 * workers and pool is None:
+                from concurrent.futures import ProcessPoolExecutor  # loaded only where a pool starts
                 pool = ProcessPoolExecutor(max_workers=workers)
             if pool is not None and len(frontier) >= 64 * workers:
                 chunk = max(1, len(frontier) // (workers * 8))
@@ -321,22 +321,19 @@ def parabolic_flat(rs: RootSystem, simple_set: int) -> int:
     return sum(1 << p for p, support in enumerate(rs.simple_supports) if not support & ~simple_set)
 
 
-def walk_level(rs: RootSystem, k: int) -> Level:
-    """Rank k of the walk: one BFS from all the parabolic flats of rank k.
-
-    Each layer sorts the two layers before it together with the new images.
-    The sort is stable, so a row met before comes first among its equals,
-    and an image that heads its run of equal rows is new.
-    """
+def _bfs(rs: RootSystem, k: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """One BFS from all the parabolic flats of rank k: yields each new layer,
+    sorted, with its start tags and the union-find, updated in place.  A layer
+    sorts the two layers before it with the new images; the sort is stable, so
+    a row met before leads its equals, and an image that leads them is new."""
     simple_sets = (sum(1 << j for j in J) for J in combinations(range(rs.rank), k))
     starts = sorted({parabolic_flat(rs, J) for J in simple_sets})
     # find[a] is the least start of a's orbit so far, for every start a.
     find = np.arange(len(starts), dtype=np.min_scalar_type(len(starts)))
     frontier, tag = _keys(rs, starts), find.copy()
-    prev, prev_tag, layers, tags = frontier[:0], tag[:0], [], []
+    prev, prev_tag = frontier[:0], tag[:0]
     while len(frontier):
-        layers.append(frontier)
-        tags.append(tag)
+        yield frontier, tag, find
         cand = np.concatenate([prev, frontier, _images(rs, frontier)])
         order = _order(cand)
         cand = cand[order]
@@ -348,6 +345,16 @@ def walk_level(rs: RootSystem, k: int) -> Level:
             find[find == hi] = lo
         keep = new & (order >= len(prev) + len(frontier))
         prev, prev_tag, frontier, tag = frontier, tag, cand[keep], cand_tag[keep]
+
+
+def _first(rs: RootSystem, k: int) -> int:
+    """The id of rank k's first flat: the flats of every lower rank come before."""
+    return sum(betti_row_closed_form(rs.ctype)[::-1][:k])
+
+
+def walk_level(rs: RootSystem, k: int) -> Level:
+    """Rank k of the walk: its BFS layers sorted into one array, and its orbits."""
+    layers, tags, (find, *_) = zip(*_bfs(rs, k))  # find: the one union-find, as the BFS left it
     walk = np.concatenate(layers)
     del layers  # one copy of the rank at a time keeps the peak RSS of E8 down
     order = _order(walk)
@@ -356,16 +363,15 @@ def walk_level(rs: RootSystem, k: int) -> Level:
     root = find[np.concatenate(tags)[order]]
     del order
     # Number the orbits by their least place, the order they are returned in.
-    heads = np.flatnonzero(find == np.arange(len(starts)))
+    heads = np.flatnonzero(find == np.arange(len(find)))
     least = np.array([np.argmax(root == a) for a in heads])
-    number = np.zeros(len(starts), np.int64)
+    number = np.zeros(len(find), np.int64)
     number[heads[np.argsort(least)]] = np.arange(len(heads))
     label = number[root]
     least = np.sort(least)
-    first = sum(list(reversed(betti_row_closed_form(rs.ctype)))[:k])
     # Only the least flats become ints: E8's whole rank 2 would take 360 MB.
     orbits = list(zip(least.tolist(), np.bincount(label).tolist(), key_masks(keys[least])))
-    return Level(first, keys, label, orbits)
+    return Level(_first(rs, k), keys, label, orbits)
 
 
 def walk(rs: RootSystem) -> Iterator[Level]:
@@ -374,17 +380,20 @@ def walk(rs: RootSystem) -> Iterator[Level]:
 
 
 def flat_id(rs: RootSystem, k: int, mask: int) -> int | None:
-    """The id of the rank-k flat with this mask, or None.  The keys are searched
-    as they are: as ints, E8's rank 6 took `member` from 198 to 383 MB peak."""
-    level = walk_level(rs, k)
-    place = np.flatnonzero((level.keys == _keys(rs, [mask])).all(axis=1)).tolist()
-    return level.first + place[0] if place else None
+    """The id of the rank-k flat with this mask, or None.  Each BFS layer is
+    sorted, so the mask's place is the sum of its bisection points in them."""
+    key, hits, below = tuple(_keys(rs, [mask])[0]), False, 0
+    for layer, _, _ in _bfs(rs, k):
+        place = bisect_left(layer, key, key=tuple)
+        hits |= place < len(layer) and tuple(layer[place]) == key
+        below += place
+    return _first(rs, k) + below if hits else None
 
 
 def walk_rank_counts(rs: RootSystem, *, max_flats: int | None = DEFAULT_FLAT_BUDGET) -> list[int]:
-    """Per-rank flat counts from the W-orbit walk; one rank is held at a time."""
+    """Per-rank flat counts: the lengths of each rank's BFS layers, no Level."""
     check_flat_budget(rs.ctype, max_flats)
-    return [len(walk_level(rs, k).keys) for k in range(rs.rank + 1)]
+    return [sum(len(layer) for layer, _, _ in _bfs(rs, k)) for k in range(rs.rank + 1)]
 
 
 def _moves(rs: RootSystem, level: Level) -> np.ndarray:

@@ -330,6 +330,29 @@ def test_good_and_orbits_and_cup(capsys):
     assert payload["type"] == "A2" and len(payload["products"]) == 3 * 5
 
 
+# A usage error, --help, then commands that read their parsed options.
+ONE_PROCESS_CALLS = [
+    ["betti"],
+    ["--help"],
+    ["betti", "A3", "--compare"],
+    ["member", "A2", "--point", "-1,1,inf"],
+    ["betti", "A3", "--method", "enum"],
+]
+
+
+def test_one_parser_serves_each_call_as_a_fresh_process(monkeypatch, capsys):
+    # argparse wraps usage and help text to COLUMNS; both sides read the same.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.build_parser() is cli.build_parser()
+    codes = []
+    for argv in ONE_PROCESS_CALLS:
+        codes.append(main(argv))
+        out, err = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (codes[-1], out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert codes == [2, 0, 0, 0, 0]
+
+
 def test_verify_commands(capsys):
     for name in ["A3", "B2", "G2"]:
         assert main(["verify", name, "--level", "quick"]) == 0

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import coxstrata
-from conftest import flat_level, join_by_closure
+from conftest import join_by_closure
 from coxstrata.betti import betti_row_closed_form
 from coxstrata.errors import (
     InvalidId,
@@ -416,11 +416,13 @@ def test_moves_refuses_an_orbit_split_in_two():
 def test_the_walk_does_not_import_numpy_ma():
     # A plain np.unique(x) imports numpy.ma on first use: that took the first
     # A6 walk of a fresh process from about 2 ms to 6-9 ms.
+    # walk_rank_counts reads only the BFS; walk also finishes each rank into a Level.
     code = (
         "import sys\n"
-        "from coxstrata.flats import walk_rank_counts\n"
+        "from coxstrata.flats import walk, walk_rank_counts\n"
         "from coxstrata.rootsys import build_root_system\n"
-        "walk_rank_counts(build_root_system('A6'))\n"
+        "rs = build_root_system('A6')\n"
+        "walk_rank_counts(rs), list(walk(rs))\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(coxstrata.__file__).parents[1]))
@@ -428,24 +430,55 @@ def test_the_walk_does_not_import_numpy_ma():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("name", ["A4", "B4", "F4", "E8"])
-def test_flat_id_finds_each_flat_of_its_rank_and_nothing_else(name):
+# Every type the walk's tests reach, up to E7, then E8.
+WALK_TYPES = (
+    [f"A{r}" for r in range(1, 8)]
+    + [f"B{r}" for r in range(2, 7)]
+    + [f"C{r}" for r in range(2, 7)]
+    + ["D4", "D5", "D6", "G2", "F4", "E6", "E7", "E8"]
+)
+
+
+def _no_level(*args, **kwargs):
+    raise AssertionError("a whole rank was sorted into a Level")
+
+
+@pytest.mark.parametrize("name", WALK_TYPES)
+def test_flat_id_finds_each_flat_of_its_rank_and_nothing_else(name, monkeypatch):
     # E8's masks are two uint64 words; its ranks 0-2 stand for the whole lattice.
     rs = build_root_system(name)
+    levels = [walk_level(rs, k) for k in range(3 if name == "E8" else rs.rank + 1)]
+    # Counts and ids come from the BFS layers: no rank is sorted into a Level.
+    monkeypatch.setattr("coxstrata.flats.walk_level", _no_level)
+    if name != "E8":
+        assert walk_rank_counts(rs) == [len(level.keys) for level in levels]
     rng = random.Random(7)
-    first = 0
-    for k in range(3 if name == "E8" else rs.rank + 1):
-        offset, level = flat_level(rs, k)
-        assert offset == first
-        places = rng.sample(range(len(level)), min(len(level), 5))
-        for place, mask in ((p, level[p]) for p in places):
-            assert flat_id(rs, k, mask) == offset + place
+    for k, level in enumerate(levels):
+        assert level.first == sum(len(lower.keys) for lower in levels[:k])
+        # Each orbit's least flat, then a seeded sample of the rank.
+        places = [place for place, _, _ in level.orbits]
+        places += rng.sample(range(len(level.keys)), min(len(level.keys), 5))
+        for place in places:
+            (mask,) = key_masks(level.keys[place : place + 1])
+            assert flat_id(rs, k, mask) == level.first + place
             if k < rs.rank:
                 assert flat_id(rs, k + 1, mask) is None
             if bin(mask).count("1") > 2:
                 # A flat with one root dropped is no flat.
                 assert flat_id(rs, k, mask & (mask - 1)) is None
-        first += len(level)
+
+
+def test_importing_the_package_starts_no_process_machinery():
+    # Only enumerate_rank_counts with workers > 1 starts a pool; loading the
+    # pool's modules took 5-8 ms of every process start.
+    code = (
+        "import sys\n"
+        "import coxstrata, coxstrata.cli\n"
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing', 'subprocess') if m in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(coxstrata.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def test_workers_do_not_change_output():
@@ -547,7 +580,7 @@ def test_enumerate_rank_counts_clamps_workers(monkeypatch):
     # B5's largest level (330 flats) engages a pool of up to 5 workers.
     rs = build_root_system("B5")
     row = walk_rank_counts(rs)
-    monkeypatch.setattr("coxstrata.flats.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr("os.cpu_count", lambda: 4)
     for workers, pool in [(0, []), (1, []), (3, [3]), (64, [4])]:
         sizes.clear()
