@@ -399,7 +399,7 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
-@functools.cache  # one parser per process: building it costs about 0.5 ms
+@functools.cache  # one parser per process, however often main() is called
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coxstrata",

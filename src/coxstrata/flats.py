@@ -3,13 +3,13 @@
 Flats are canonical span-closed root subsystems, stored as bit masks
 over positive-root positions and graded by span dimension.
 
-Every command that enumerates flats reads the W-orbit walk one rank at a time:
-`betti --method enum` and `member` read its BFS layers (`walk_rank_counts`,
-`flat_id`), the others `walk_level`, the rank sorted into a `Level`.
-`build_lattice` keeps each rank's `Level`; a lattice made from levels and covers
-alone walks a rank when it is first read (`IntersectionLattice.level`).  The
-closure sweep `enumerate_rank_counts` is the independent second route to the
-counts that `verify` checks the walk against; `verify` runs it in one process.
+Every command that enumerates flats reads the W-orbit walk, one BFS per group
+of ranks: `betti --method enum` and `member` read its BFS layers
+(`walk_rank_counts`, `flat_id`), the others `walk` or `walk_level`, each rank
+sorted into a `Level`.  `build_lattice` keeps each rank's `Level`; a lattice
+made from levels and covers alone walks a rank when it is first read
+(`IntersectionLattice.level`).  The closure sweep `enumerate_rank_counts` is
+the independent second route to the counts that `verify` checks against.
 """
 
 from __future__ import annotations
@@ -118,6 +118,8 @@ class IntersectionLattice:
 
     def level(self, k: int) -> Level:
         """The walk's rank k, whose place p is the flat of id level.first + p."""
+        if not 0 <= k <= self.rs.rank:
+            raise RankOutOfRange(f"k={k} outside [0, {self.rs.rank}]")
         if self._walk[k] is None:
             level, ids = walk_level(self.rs, k), self.by_rank[k]
             if ids[:1] != [level.first] or key_masks(level.keys) != [self.flats[i].mask for i in ids]:
@@ -237,7 +239,7 @@ def _sweep(rs: RootSystem, workers: int) -> list[int]:
     """Level BFS over all flats by _expand_flat; returns the rank counts."""
     counts = [1]
     frontier = [0]
-    pool: ProcessPoolExecutor | None = None
+    pool = None
     try:
         for _ in range(rs.rank):
             if workers > 1 and len(frontier) >= 64 * workers and pool is None:
@@ -265,12 +267,13 @@ def _sweep(rs: RootSystem, workers: int) -> list[int]:
 #
 # Every rank-k flat is W-conjugate to a parabolic flat closure(J) with k
 # simple roots J (Orlik-Solomon), so one breadth-first walk under the simple
-# reflections from all those flats at once meets every rank-k flat.  A mask
-# is a row of ceil(d/64) uint64 words, high word first, so row order is mask
-# order.  Each row carries the ordinal of its start as a label; where equal
-# rows carry labels of different W-orbits, those orbits are one and a
-# union-find over the starts merges them.  Simple reflections are
-# involutions, so a new BFS layer can only repeat the two layers before it.
+# reflections from all those flats at once meets every rank-k flat; W keeps
+# ranks, so a walk from the parabolic flats of several ranks is their walks
+# side by side.  A mask is a row of ceil(d/64) uint64 words, high word first,
+# so np.lexsort(keys.T[::-1]) sorts rows by mask.  Each row carries the ordinal
+# of its start as a label; where equal rows carry labels of different W-orbits,
+# those orbits are one and a union-find over the starts merges them.  Simple
+# reflections are involutions, so a BFS layer can only repeat the two before it.
 
 
 def _keys(rs: RootSystem, masks: list[int]) -> np.ndarray:
@@ -286,11 +289,6 @@ def key_masks(keys: np.ndarray) -> list[int]:
     for j in range(1, keys.shape[1]):
         masks = [m << 64 | w for m, w in zip(masks, keys[:, j].tolist())]
     return masks
-
-
-def _order(keys: np.ndarray) -> np.ndarray:
-    # lexsort is stable: equal rows keep their order, which walk_level reads.
-    return np.lexsort(keys.T[::-1])
 
 
 def _images(rs: RootSystem, keys: np.ndarray) -> np.ndarray:
@@ -321,21 +319,36 @@ def parabolic_flat(rs: RootSystem, simple_set: int) -> int:
     return sum(1 << p for p, support in enumerate(rs.simple_supports) if not support & ~simple_set)
 
 
-def _bfs(rs: RootSystem, k: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """One BFS from all the parabolic flats of rank k: yields each new layer,
-    sorted, with its start tags and the union-find, updated in place.  A layer
-    sorts the two layers before it with the new images; the sort is stable, so
-    a row met before leads its equals, and an image that leads them is new."""
-    simple_sets = (sum(1 << j for j in J) for J in combinations(range(rs.rank), k))
-    starts = sorted({parabolic_flat(rs, J) for J in simple_sets})
+def _rank_groups(rs: RootSystem) -> list[list[int]]:
+    """Consecutive ranks walked by one BFS, each group holding no more flats (by the
+    closed form) than the flat budget or the largest rank: one group up to E7, E8 four."""
+    row, groups = betti_row_closed_form(rs.ctype)[::-1], [[0]]
+    for k in range(1, len(row)):
+        if sum(row[groups[-1][0] : k + 1]) > max(DEFAULT_FLAT_BUDGET, *row):
+            groups.append([])
+        groups[-1].append(k)
+    return groups
+
+
+def _bfs(rs: RootSystem, ranks: list[int]) -> Iterator[tuple[np.ndarray, ...]]:
+    """One BFS from the parabolic flats of the given ranks: yields each new layer,
+    sorted, with its start tags, the union-find, updated in place (only starts
+    of one rank merge: equal masks have equal ranks), and each start's rank.  A
+    layer stable-sorts the two before it with the new images, so a row met
+    before leads its equals, and an image that leads them is new."""
+    if not all(0 <= k <= rs.rank for k in ranks):
+        raise RankOutOfRange(f"ranks {ranks} outside [0, {rs.rank}]")
+    subsets = ((k, sum(1 << j for j in J)) for k in ranks for J in combinations(range(rs.rank), k))
+    starts, start_rank = zip(*sorted({(parabolic_flat(rs, J), k) for k, J in subsets}))
     # find[a] is the least start of a's orbit so far, for every start a.
     find = np.arange(len(starts), dtype=np.min_scalar_type(len(starts)))
-    frontier, tag = _keys(rs, starts), find.copy()
+    frontier, tag = _keys(rs, list(starts)), find.copy()
+    start_rank = np.array(start_rank, np.min_scalar_type(rs.rank))
     prev, prev_tag = frontier[:0], tag[:0]
     while len(frontier):
-        yield frontier, tag, find
+        yield frontier, tag, find, start_rank
         cand = np.concatenate([prev, frontier, _images(rs, frontier)])
-        order = _order(cand)
+        order = np.lexsort(cand.T[::-1])
         cand = cand[order]
         cand_tag = find[np.concatenate([prev_tag, tag, np.repeat(tag, rs.rank)])[order]]
         new = np.append(True, (cand[1:] != cand[:-1]).any(axis=1))
@@ -352,20 +365,12 @@ def _first(rs: RootSystem, k: int) -> int:
     return sum(betti_row_closed_form(rs.ctype)[::-1][:k])
 
 
-def walk_level(rs: RootSystem, k: int) -> Level:
-    """Rank k of the walk: its BFS layers sorted into one array, and its orbits."""
-    layers, tags, (find, *_) = zip(*_bfs(rs, k))  # find: the one union-find, as the BFS left it
-    walk = np.concatenate(layers)
-    del layers  # one copy of the rank at a time keeps the peak RSS of E8 down
-    order = _order(walk)
-    keys = walk[order]
-    del walk
-    root = find[np.concatenate(tags)[order]]
-    del order
+def _level(rs: RootSystem, k: int, keys: np.ndarray, root: np.ndarray) -> Level:
+    """Rank k's Level from its sorted keys and the orbit root (a start) of each."""
     # Number the orbits by their least place, the order they are returned in.
-    heads = np.flatnonzero(find == np.arange(len(find)))
+    heads = np.flatnonzero(np.bincount(root))
     least = np.array([np.argmax(root == a) for a in heads])
-    number = np.zeros(len(find), np.int64)
+    number = np.zeros(heads.max() + 1, np.int64)
     number[heads[np.argsort(least)]] = np.arange(len(heads))
     label = number[root]
     least = np.sort(least)
@@ -374,16 +379,40 @@ def walk_level(rs: RootSystem, k: int) -> Level:
     return Level(_first(rs, k), keys, label, orbits)
 
 
+def _levels(rs: RootSystem, ranks: list[int]) -> Iterator[Level]:
+    """The Levels of a group of ranks from one BFS: its layers sorted by
+    (rank, key) into one array, which each rank reads a contiguous slice of."""
+    layers, tags, (find, *_), (start_rank, *_) = zip(*_bfs(rs, ranks))
+    walk = np.concatenate(layers)
+    del layers  # one copy of the group at a time keeps the peak RSS of E8 down
+    tags = np.concatenate(tags)  # only after the del: before it, orbits E8 peaked 16 MB higher
+    order = np.lexsort((*walk.T[::-1], start_rank[tags]))
+    keys = walk[order]
+    del walk
+    root = find[tags[order]]
+    del order, tags
+    ends = [0, *np.cumsum(np.bincount(start_rank[root])[ranks]).tolist()]
+    for k, lo, hi in zip(ranks, ends, ends[1:]):
+        # Yielded unbound: the generator keeps no rank alive while the next is made.
+        yield _level(rs, k, keys[lo:hi], root[lo:hi])
+
+
+def walk_level(rs: RootSystem, k: int) -> Level:
+    """Rank k of the walk: its BFS layers sorted into one array, and its orbits."""
+    return next(_levels(rs, [k]))
+
+
 def walk(rs: RootSystem) -> Iterator[Level]:
-    """walk_level of ranks 0..r, made one at a time as they are read."""
-    return map(walk_level, repeat(rs), range(rs.rank + 1))
+    """walk_level of ranks 0..r, one BFS per group of ranks, each made as it is read."""
+    for ranks in _rank_groups(rs):
+        yield from _levels(rs, ranks)
 
 
 def flat_id(rs: RootSystem, k: int, mask: int) -> int | None:
     """The id of the rank-k flat with this mask, or None.  Each BFS layer is
     sorted, so the mask's place is the sum of its bisection points in them."""
     key, hits, below = tuple(_keys(rs, [mask])[0]), False, 0
-    for layer, _, _ in _bfs(rs, k):
+    for layer, *_ in _bfs(rs, [k]):
         place = bisect_left(layer, key, key=tuple)
         hits |= place < len(layer) and tuple(layer[place]) == key
         below += place
@@ -391,9 +420,10 @@ def flat_id(rs: RootSystem, k: int, mask: int) -> int | None:
 
 
 def walk_rank_counts(rs: RootSystem, *, max_flats: int | None = DEFAULT_FLAT_BUDGET) -> list[int]:
-    """Per-rank flat counts: the lengths of each rank's BFS layers, no Level."""
+    """Per-rank flat counts: the ranks of each group's BFS layers, no Level."""
     check_flat_budget(rs.ctype, max_flats)
-    return [sum(len(layer) for layer, _, _ in _bfs(rs, k)) for k in range(rs.rank + 1)]
+    layers = (layer for ranks in _rank_groups(rs) for layer in _bfs(rs, ranks))
+    return sum(np.bincount(rank[tag], minlength=rs.rank + 1) for _, tag, _, rank in layers).tolist()
 
 
 def _moves(rs: RootSystem, level: Level) -> np.ndarray:
@@ -406,7 +436,7 @@ def _moves(rs: RootSystem, level: Level) -> np.ndarray:
     images = _images(rs, keys).reshape(n, r, -1)
     moves = np.empty((r, n), np.int64)
     for s in range(r):
-        order = _order(images[:, s])
+        order = np.lexsort(images[:, s].T[::-1])
         if not np.array_equal(images[order, s], keys):
             raise InvariantViolation(f"reflection {s} of {rs.ctype} moves a flat off its level")
         moves[s, order] = np.arange(n)

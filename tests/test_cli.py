@@ -17,7 +17,7 @@ from coxstrata.betti import EXCEPTIONAL_ROWS, betti_row_closed_form
 from coxstrata.cli import _cup_table, load_lattice_cache, main, save_lattice_cache
 from coxstrata.cohomology import GradedClass, cup
 from coxstrata.errors import ResourceLimit
-from coxstrata.flats import build_lattice, walk_level
+from coxstrata.flats import _bfs, build_lattice
 from coxstrata.rootsys import build_root_system, classify_subsystem
 
 
@@ -361,14 +361,14 @@ def test_verify_commands(capsys):
 
 
 def _count_walks(monkeypatch):
-    """Record the rank of every walk_level call; every walk goes through flats."""
+    """Record the ranks of every BFS of the walk; every walk goes through flats._bfs."""
     walked = []
 
-    def counting(rs, k):
-        walked.append(k)
-        return walk_level(rs, k)
+    def counting(rs, ranks):
+        walked.extend(ranks)
+        return _bfs(rs, ranks)
 
-    monkeypatch.setattr("coxstrata.flats.walk_level", counting)
+    monkeypatch.setattr("coxstrata.flats._bfs", counting)
     return walked
 
 

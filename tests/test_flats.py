@@ -28,6 +28,7 @@ from coxstrata.flats import (
     _images,
     _keys,
     _moves,
+    _rank_groups,
     brute_force_flats,
     build_lattice,
     char_poly,
@@ -39,6 +40,7 @@ from coxstrata.flats import (
     leq,
     mobius_table,
     parabolic_flat,
+    walk,
     walk_level,
     walk_rank_counts,
     whitney_second,
@@ -449,7 +451,7 @@ def test_flat_id_finds_each_flat_of_its_rank_and_nothing_else(name, monkeypatch)
     rs = build_root_system(name)
     levels = [walk_level(rs, k) for k in range(3 if name == "E8" else rs.rank + 1)]
     # Counts and ids come from the BFS layers: no rank is sorted into a Level.
-    monkeypatch.setattr("coxstrata.flats.walk_level", _no_level)
+    monkeypatch.setattr("coxstrata.flats._levels", _no_level)
     if name != "E8":
         assert walk_rank_counts(rs) == [len(level.keys) for level in levels]
     rng = random.Random(7)
@@ -466,6 +468,38 @@ def test_flat_id_finds_each_flat_of_its_rank_and_nothing_else(name, monkeypatch)
             if bin(mask).count("1") > 2:
                 # A flat with one root dropped is no flat.
                 assert flat_id(rs, k, mask & (mask - 1)) is None
+
+
+@pytest.mark.parametrize("name", WALK_TYPES[:-1])
+def test_walk_by_groups_of_ranks_equals_one_walk_per_rank(name):
+    rs = build_root_system(name)
+    levels = list(walk(rs))
+    assert len(levels) == rs.rank + 1
+    for k, level in enumerate(levels):
+        _assert_same_level(level, walk_level(rs, k))
+
+
+@pytest.mark.parametrize("name", WALK_TYPES)
+def test_rank_groups_cover_each_rank_once_in_order(name):
+    rs = build_root_system(name)
+    groups = _rank_groups(rs)
+    assert [k for ranks in groups for k in ranks] == list(range(rs.rank + 1))
+    assert all(ranks == list(range(ranks[0], ranks[-1] + 1)) for ranks in groups)
+    # Every type within the flat budget is one BFS; E8 splits at its big ranks.
+    assert groups == ([[0, 1, 2, 3, 4], [5], [6], [7, 8]] if name == "E8" else [list(range(rs.rank + 1))])
+
+
+def test_a_rank_outside_the_type_is_refused():
+    rs, mask = build_root_system("A3"), 0b1
+    lat = build_lattice(rs)
+    for k in (-1, rs.rank + 1):
+        with pytest.raises(RankOutOfRange):
+            lat.level(k)
+        with pytest.raises(RankOutOfRange):
+            walk_level(rs, k)
+        with pytest.raises(RankOutOfRange):
+            flat_id(rs, k, mask)
+    assert flat_id(rs, 1, mask) == 1  # the least atom: id 0 is the bottom flat
 
 
 def test_importing_the_package_starts_no_process_machinery():
