@@ -7,7 +7,7 @@ Every command that enumerates flats reads the W-orbit walk, one BFS per group
 of ranks: `betti --method enum` and `member` read its BFS layers
 (`walk_rank_counts`, `flat_id`), the others `walk` or `walk_level`, each rank
 sorted into a `Level`.  `build_lattice` keeps each rank's `Level`; a lattice
-made from levels and covers alone walks a rank when it is first read
+made from levels and covers alone runs `walk` when a rank is first read
 (`IntersectionLattice.level`).  The closure sweep `enumerate_rank_counts` is
 the independent second route to the counts that `verify` checks against.
 """
@@ -60,8 +60,8 @@ class IntersectionLattice:
     """All flats of the arrangement of a root system, with covers.
 
     Flat ids are dense and sorted by (rank, mask); queries are read-only
-    after construction.  walk[k], when given, is walk_level(rs, k); a rank
-    without it is walked on first use.
+    after construction.  walk, when given, is list(walk(rs)); without it,
+    the first level(k) runs the walk and checks every rank against it.
     """
 
     def __init__(
@@ -72,15 +72,15 @@ class IntersectionLattice:
         walk: list[Level] | None = None,
     ):
         self.rs = rs
-        self._walk: list[Level | None] = list(walk or [None] * len(levels))
+        if len(levels) != rs.rank + 1:
+            raise InvariantViolation(f"{len(levels)} levels for the {rs.rank + 1} ranks of {rs.ctype}")
+        self._walk = walk
         self.flats: list[Flat] = []
         self.by_rank: list[list[int]] = []
         for rank, masks in enumerate(levels):
-            ids = []
-            for mask in masks:
-                ids.append(len(self.flats))
-                self.flats.append(Flat(len(self.flats), rank, mask))
-            self.by_rank.append(ids)
+            ids = range(len(self.flats), len(self.flats) + len(masks))
+            self.flats += map(Flat, ids, repeat(rank), masks)
+            self.by_rank.append(list(ids))
         self.id_of = {f.mask: f.id for f in self.flats}
         self.covers = covers
         self.rank_counts = [len(ids) for ids in self.by_rank]
@@ -120,11 +120,12 @@ class IntersectionLattice:
         """The walk's rank k, whose place p is the flat of id level.first + p."""
         if not 0 <= k <= self.rs.rank:
             raise RankOutOfRange(f"k={k} outside [0, {self.rs.rank}]")
-        if self._walk[k] is None:
-            level, ids = walk_level(self.rs, k), self.by_rank[k]
-            if ids[:1] != [level.first] or key_masks(level.keys) != [self.flats[i].mask for i in ids]:
-                raise InvariantViolation(f"rank-{k} level differs from the walk of {self.rs.ctype}")
-            self._walk[k] = level
+        if self._walk is None:
+            walked = list(walk(self.rs))
+            for j, (level, ids) in enumerate(zip(walked, self.by_rank, strict=True)):
+                if ids[:1] != [level.first] or key_masks(level.keys) != [self.flats[i].mask for i in ids]:
+                    raise InvariantViolation(f"rank-{j} level differs from the walk of {self.rs.ctype}")
+            self._walk = walked
         return self._walk[k]
 
 
@@ -368,8 +369,7 @@ def _first(rs: RootSystem, k: int) -> int:
 def _level(rs: RootSystem, k: int, keys: np.ndarray, root: np.ndarray) -> Level:
     """Rank k's Level from its sorted keys and the orbit root (a start) of each."""
     # Number the orbits by their least place, the order they are returned in.
-    heads = np.flatnonzero(np.bincount(root))
-    least = np.array([np.argmax(root == a) for a in heads])
+    heads, least = np.unique(root, return_index=True)
     number = np.zeros(heads.max() + 1, np.int64)
     number[heads[np.argsort(least)]] = np.arange(len(heads))
     label = number[root]

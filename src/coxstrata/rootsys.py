@@ -59,7 +59,7 @@ class CartanType:
     def parse(cls, text: str) -> "CartanType":
         factors = []
         for part in "".join(text.split()).split("x"):
-            if len(part) < 2 or not part[0].isalpha() or not part[1:].isdecimal():
+            if not (part[:1].isalpha() and part[1:].isascii() and part[1:].isdecimal()):
                 raise InvalidRank(f"cannot parse type string {text!r}")
             factors.append((part[0].upper(), int(part[1:])))
         if not factors:

@@ -91,9 +91,8 @@ def rootsys_checks(rs: RootSystem, rng: random.Random) -> Iterator[Check]:
     for m, si in zip(rs.labels[1:], rs.simples):
         acc = [a + m * x for a, x in zip(acc, rs.roots[si])]
     yield _check("labels-sum-to-highest", tuple(acc) == theta)
-    coeff_ok = all(
-        rs.heights[rs.highest] >= rs.heights[i] for i in range(2 * rs.d)
-    )
+    theta_coeffs = rs.simple_coefficients[rs.highest]
+    coeff_ok = all(c <= t for cs in rs.simple_coefficients for c, t in zip(cs, theta_coeffs))
     yield _check("highest-root-dominates", coeff_ok)
     mirrors = rng.sample(range(2 * rs.d), min(4, 2 * rs.d))
     bij = all(
@@ -305,7 +304,7 @@ def verify_type(type_str: str, level: str = "quick", allow_huge: bool = False) -
     the W-orbit walk that builds the lattice and the orbit table; the
     checks compare both with the closed-form row; each rank is walked once,
     and the goodsub and orbit checks read the lattice's levels.  E7 and E8
-    build no lattice: the orbit checks read walk(rs), one rank at a time.
+    build no lattice: the orbit checks read walk(rs), one group at a time.
     """
     rng = random.Random(0)
     rs = build_root_system(CartanType.parse(type_str))

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import flat_level, join_by_closure
@@ -17,8 +18,8 @@ from coxstrata.betti import EXCEPTIONAL_ROWS, betti_row_closed_form
 from coxstrata.cli import _cup_table, load_lattice_cache, main, save_lattice_cache
 from coxstrata.cohomology import GradedClass, cup
 from coxstrata.errors import ResourceLimit
-from coxstrata.flats import _bfs, build_lattice
-from coxstrata.rootsys import build_root_system, classify_subsystem
+from coxstrata.flats import IntersectionLattice, _bfs, build_lattice
+from coxstrata.rootsys import CartanType, RootSystem, build_root_system, classify_subsystem
 
 
 def run_cli(*args, env=None):
@@ -279,14 +280,14 @@ def test_export_equals_per_flat_classification_cold_and_warm(name, tmp_path, mon
 @pytest.mark.parametrize("name", ["B3", "F4"])
 def test_export_walks_each_rank_once_cold_and_warm(name, tmp_path, monkeypatch, capsys):
     # The cold export reads the levels that build_lattice kept; the warm
-    # one walks each rank once, when its types are first needed.
+    # one runs the whole walk once, when its types are first needed.
     walked = _count_walks(monkeypatch)
     rank = build_root_system(name).rank
     for fmt in ("json", "csv"):
         for _ in ("cold", "warm"):
             walked.clear()
             assert main(["lattice", name, "--export", fmt, "--cache-dir", str(tmp_path / fmt)]) == 0
-            assert sorted(walked) == list(range(rank + 1))
+            assert walked == [list(range(rank + 1))]
     assert capsys.readouterr().out
 
 
@@ -361,15 +362,28 @@ def test_verify_commands(capsys):
 
 
 def _count_walks(monkeypatch):
-    """Record the ranks of every BFS of the walk; every walk goes through flats._bfs."""
+    """Record the ranks of each BFS of the walk, one list per call; every walk goes through flats._bfs."""
     walked = []
 
     def counting(rs, ranks):
-        walked.extend(ranks)
+        walked.append(list(ranks))
         return _bfs(rs, ranks)
 
     monkeypatch.setattr("coxstrata.flats._bfs", counting)
     return walked
+
+
+@pytest.mark.parametrize("name", ["B3", "F4", "E6"])
+def test_a_lattice_from_levels_and_covers_walks_once(name, lattice_of, monkeypatch):
+    rs, lat = lattice_of(name)
+    walked = _count_walks(monkeypatch)
+    levels = [[lat.flats[i].mask for i in ids] for ids in lat.by_rank]
+    bare = IntersectionLattice(rs, levels, lat.covers)
+    for k in [rs.rank, 1, *range(rs.rank + 1)]:
+        got, kept = bare.level(k), lat.level(k)
+        assert got.first == kept.first and got.orbits == kept.orbits
+        assert np.array_equal(got.keys, kept.keys) and np.array_equal(got.label, kept.label)
+    assert walked == [list(range(rs.rank + 1))]
 
 
 @pytest.mark.parametrize("argv", [["verify", "D4"], ["verify", "E6", "--level", "full"]])
@@ -378,8 +392,19 @@ def test_verify_walks_each_rank_once(argv, monkeypatch, capsys):
     walked = _count_walks(monkeypatch)
     assert main(argv) == 0
     rank = build_root_system(argv[1]).rank
-    assert sorted(walked) == list(range(rank + 1))
+    assert walked == [list(range(rank + 1))]
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_highest_root_dominates_fails_on_a_root_above_theta(monkeypatch, capsys):
+    # A fresh root system, not the cached one: B3's root (0, 1, 2) becomes
+    # (0, 0, 3), above theta = (1, 2, 2) at the last simple root, at the same height.
+    rs = RootSystem(CartanType.parse("B3"))
+    i = rs.simple_coefficients.index((0, 1, 2))
+    rs.simple_coefficients[i] = (0, 0, 3)
+    monkeypatch.setattr("coxstrata.verify.build_root_system", lambda ctype: rs)
+    assert main(["verify", "B3"]) == 1
+    assert "FAIL B3:highest-root-dominates" in capsys.readouterr().out.splitlines()
 
 
 def test_verify_labels_checks_with_the_canonical_type(capsys):
@@ -442,7 +467,7 @@ def test_verify_e7_reads_rank_counts_only(closed_form_counts, monkeypatch, capsy
     # With no lattice, the orbit checks walk each rank once.
     walked = _count_walks(monkeypatch)
     assert main(["verify", "E7"]) == 0
-    assert walked == list(range(8))
+    assert walked == [list(range(8))]
     lines = capsys.readouterr().out.splitlines()
     assert lines[:-1] == [
         f"PASS E7:{name}"
@@ -559,6 +584,7 @@ def test_type_is_read_by_the_cartan_type_grammar(text, capsys):
         ("E9", "E9 is not a valid type"),
         ("", "cannot parse type string ''"),
         ("A\u00b2", "cannot parse type string 'A\u00b2'"),
+        ("A\u0663", "cannot parse type string 'A\u0663'"),
     ],
 )
 def test_malformed_or_reducible_type_is_a_usage_error(text, message, capsys):

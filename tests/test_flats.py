@@ -179,6 +179,15 @@ def test_join_on_a_lattice_without_covers_is_an_invariant_violation(lattice_of):
         join(bare, a, b)
 
 
+@pytest.mark.parametrize("change", ["short", "long"])
+def test_a_levels_list_not_one_per_rank_is_an_invariant_violation(change, lattice_of):
+    rs, lat = lattice_of("B3")
+    levels = [[lat.flats[i].mask for i in ids] for ids in lat.by_rank]
+    levels = levels[:-1] if change == "short" else levels + [[]]
+    with pytest.raises(InvariantViolation, match=f"{len(levels)} levels for the 4 ranks of B3"):
+        IntersectionLattice(rs, levels, lat.covers)
+
+
 def test_leq_examples(lattice_of):
     _, lat = lattice_of("A2")
     a, b = lat.atoms()[:2]

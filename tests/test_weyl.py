@@ -16,7 +16,7 @@ from conftest import (
     pos_of_coords,
     positive_perms,
 )
-from coxstrata import build_root_system
+from coxstrata import build_root_system, flats
 from coxstrata.betti import betti_row_closed_form
 from coxstrata.errors import InvariantViolation, LatticeMismatch, MalformedWord
 from coxstrata.flats import IntersectionLattice, join, walk, walk_level, whitney_second
@@ -205,14 +205,22 @@ def test_a_level_that_differs_from_the_walk_has_no_orbits(change, lattice_of):
         assert extra not in levels[2]
         levels[2] = sorted(levels[2] + [extra])
     bad = IntersectionLattice(rs, levels, [])
-    assert orbit_of_flat(rs, bad, bad.by_rank[1][0]) == orbit_of_flat(rs, lat, lat.by_rank[1][0])
-    with pytest.raises(InvariantViolation, match="rank-2 level differs from the walk of B3"):
-        orbit_of_flat(rs, bad, bad.by_rank[2][0])
-    # Rank 3 has the walk's masks, but not its ids.
-    with pytest.raises(InvariantViolation, match="rank-3 level differs from the walk of B3"):
-        orbit_of_flat(rs, bad, bad.by_rank[3][0])
+    # Every rank reads one checked walk, so each refuses and names the first rank that differs.
+    for k in range(rs.rank + 1):
+        with pytest.raises(InvariantViolation, match="rank-2 level differs from the walk of B3"):
+            orbit_of_flat(rs, bad, bad.by_rank[k][0])
     with pytest.raises(InvariantViolation):
         list(flat_types(bad))
+
+
+def test_a_walk_whose_first_ids_differ_from_the_lattice_is_refused(lattice_of, monkeypatch):
+    # Every rank has the walk's masks, but the walk puts rank 3 one id later.
+    rs, lat = lattice_of("B3")
+    first = flats._first
+    monkeypatch.setattr("coxstrata.flats._first", lambda rs, k: first(rs, k) + (k == 3))
+    bare = _unlabelled(lat)
+    with pytest.raises(InvariantViolation, match="rank-3 level differs from the walk of B3"):
+        bare.level(0)
 
 
 def test_orbit_of_flat_refuses_a_lattice_of_another_type(lattice_of):
