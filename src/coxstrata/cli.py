@@ -2,10 +2,11 @@
 
 Every command but `cup` and `rootinfo` takes --allow-huge, which lifts
 the flat budget; `cup` needs the whole lattice, out of reach for E8.
-Each budget is checked before the root system is built.  Every command
-that enumerates flats (`betti --method enum`, `lattice`, `cup`, `orbits`,
-`good`, `member`, `verify`) uses the W-orbit walk of flats.py; `verify`
-also counts the flats by the closure sweep, its independent second route.
+Every command that enumerates flats (`betti --method enum`, `lattice`, `cup`,
+`orbits`, `good`, `member`, `verify`) gets its root system from the one gate
+`flats.enumerable`, which checks the budget before it builds the root system,
+and uses the W-orbit walk of flats.py; `verify` also counts the flats by the
+closure sweep, its independent second route.
 `cup` reads its table off the lattice's covers; `lattice --export` and
 `good` give each flat the Cartan type of its W-orbit, classified once per
 orbit by `weyl.orbit_types` on a walked `flats.Level` (`weyl.flat_types`
@@ -38,11 +39,10 @@ import numpy as np
 from . import betti
 from .errors import CoxstrataError, InvalidRank, InvariantViolation, NotClassical, ResourceLimit
 from .flats import (
-    DEFAULT_FLAT_BUDGET,
     Flat,
     IntersectionLattice,
     build_lattice,
-    check_flat_budget,
+    enumerable,
     flat_id,
     key_masks,
     walk,
@@ -202,16 +202,6 @@ def cmd_rootinfo(args) -> int:
     return 0
 
 
-def _budget(args) -> int | None:
-    return None if args.allow_huge else DEFAULT_FLAT_BUDGET
-
-
-def _enumerable(ctype: CartanType, max_flats: int | None) -> RootSystem:
-    """The type's root system, built only once its closed-form flat count is in budget."""
-    check_flat_budget(ctype, max_flats)
-    return build_root_system(ctype)
-
-
 def cmd_betti(args) -> int:
     ctype = _parse_type(args.type)
     family, rank = ctype.factors[0]
@@ -221,8 +211,8 @@ def cmd_betti(args) -> int:
         if method == "formula":
             methods["formula"] = betti.betti_row_closed_form(ctype)
         elif method == "enum":
-            rs = _enumerable(ctype, _budget(args))
-            methods["enum"] = list(reversed(walk_rank_counts(rs, max_flats=_budget(args))))
+            rs, budget = enumerable(ctype, args.allow_huge)
+            methods["enum"] = list(reversed(walk_rank_counts(rs, max_flats=budget)))
         elif method == "series":
             if family not in ("A", "B", "C", "D"):
                 if args.compare:
@@ -245,11 +235,13 @@ def cmd_betti(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    rs = _enumerable(_parse_type(args.type), _budget(args))
+    if args.cache_dir == "":  # Path("") would name the working directory
+        raise ValueError("--cache-dir needs a directory, not an empty path")
+    rs, budget = enumerable(_parse_type(args.type), args.allow_huge)
     path = None if args.cache_dir is None else Path(args.cache_dir) / f"{rs.ctype}.cxlt"
     lat = None if path is None else load_lattice_cache(rs, path)
     if lat is None:
-        lat = build_lattice(rs, max_flats=_budget(args))
+        lat = build_lattice(rs, max_flats=budget)
         if path is not None:
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
@@ -281,7 +273,7 @@ def cmd_good(args) -> int:
         return 0
     if args.classical_param and ctype.factors[0][0] not in "ABCD":
         raise NotClassical(f"{ctype} is not classical")
-    rs = _enumerable(ctype, _budget(args))
+    rs, _ = enumerable(ctype, args.allow_huge)
     level = walk_level(rs, rs.rank - 1)
     types = map(orbit_types(rs, level).__getitem__, level.label.tolist())
     for fid, mask, ctype in zip(count(level.first), key_masks(level.keys), types):
@@ -294,7 +286,7 @@ def cmd_good(args) -> int:
 
 def cmd_orbits(args) -> int:
     # The walk holds a whole rank of flat masks, so it keeps the lattice's budget.
-    rs = _enumerable(_parse_type(args.type), _budget(args))
+    rs, _ = enumerable(_parse_type(args.type), args.allow_huge)
     summary = parabolic_summary(rs, walk(rs))
     print(f"type {rs.ctype}: |W| = {summary.weyl_order}, {summary.class_count} classes")
     for rank, recs in enumerate(summary.per_rank):
@@ -324,8 +316,8 @@ def _cup_table(lat: IntersectionLattice) -> dict[int, list[int | None]]:
 
 
 def cmd_cup(args) -> int:
-    rs = _enumerable(_parse_type(args.type), DEFAULT_FLAT_BUDGET)
-    table = _cup_table(build_lattice(rs, max_flats=DEFAULT_FLAT_BUDGET))
+    rs, budget = enumerable(_parse_type(args.type))
+    table = _cup_table(build_lattice(rs, max_flats=budget))
     out = sys.stdout
     if args.format == "json":
         products = (
@@ -362,7 +354,7 @@ def _parse_point(text: str, rs: RootSystem) -> ExtendedPoint:
 
 
 def cmd_member(args) -> int:
-    rs = _enumerable(_parse_type(args.type), _budget(args))
+    rs, _ = enumerable(_parse_type(args.type), args.allow_huge)
     point = _parse_point(args.point, rs)
     result = _stratum(rs, point)
     if isinstance(result, Rejection):
@@ -384,7 +376,7 @@ def cmd_verify(args) -> int:
     from .verify import verify_battery, verify_type
 
     if args.type is not None:
-        check_flat_budget(_parse_type(args.type), _budget(args))
+        _parse_type(args.type)  # a reducible type is a usage error
         checks = verify_type(args.type, args.level, allow_huge=args.allow_huge)
     else:
         checks = verify_battery(args.level, allow_huge=args.allow_huge)

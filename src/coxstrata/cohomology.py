@@ -57,13 +57,6 @@ class GradedClass:
     def scale(self, c: int) -> "GradedClass":
         return GradedClass(self.lattice, {f: c * v for f, v in self.coefficients.items()})
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GradedClass)
-            and other.lattice is self.lattice
-            and other.coefficients == self.coefficients
-        )
-
     def is_zero(self) -> bool:
         return not self.coefficients
 

@@ -236,6 +236,14 @@ def check_flat_budget(ctype: CartanType, max_flats: int | None) -> None:
         raise ResourceLimit(f"flat budget {max_flats} exceeded: {ctype} has {total} flats")
 
 
+def enumerable(ctype: CartanType, allow_huge: bool = False) -> tuple[RootSystem, int | None]:
+    """The one gate to enumeration: the type's flat budget (None with allow_huge) and
+    its root system, built only once the closed-form flat count is within budget."""
+    budget = None if allow_huge else DEFAULT_FLAT_BUDGET
+    check_flat_budget(ctype, budget)
+    return build_root_system(ctype), budget
+
+
 def _sweep(rs: RootSystem, workers: int) -> list[int]:
     """Level BFS over all flats by _expand_flat; returns the rank counts."""
     counts = [1]
@@ -411,7 +419,7 @@ def walk(rs: RootSystem) -> Iterator[Level]:
 def flat_id(rs: RootSystem, k: int, mask: int) -> int | None:
     """The id of the rank-k flat with this mask, or None.  Each BFS layer is
     sorted, so the mask's place is the sum of its bisection points in them."""
-    key, hits, below = tuple(_keys(rs, [mask])[0]), False, 0
+    key, hits, below = tuple(_keys(rs, [rs.as_mask(mask)])[0]), False, 0
     for layer, *_ in _bfs(rs, [k]):
         place = bisect_left(layer, key, key=tuple)
         hits |= place < len(layer) and tuple(layer[place]) == key
@@ -461,7 +469,10 @@ def _cover_places(
     seen = np.zeros(down.shape[1], bool)
     los, his = [], []
     for least, _, mask in orbits:
-        kids = [bisect_left(upper_masks, m) for m in _expand_flat(rs, mask)]
+        masks = _expand_flat(rs, mask)
+        kids = [bisect_left(upper_masks, m) for m in masks]
+        if [upper_masks[p] for p in kids if p < len(upper_masks)] != masks:
+            raise InvariantViolation(f"a cover of flat {mask:#x} of {rs.ctype} is not a flat of the next rank")
         frontier, children = np.array([least]), np.array([kids])
         seen[least] = True
         while len(frontier):
@@ -521,7 +532,8 @@ def brute_force_flats(rs: RootSystem) -> list[list[int]]:
     Enumerates every additively closed, negation-closed subset of the
     root system over all subsets of the positives, then keeps the
     subsets that are maximal among closed subsets of their span rank.
-    Exponential in d; intended for r <= 3 cross-checks only.
+    Exponential in d: `verify` runs it on every type with at most
+    BRUTE_FORCE_MAX_POSITIVE positive roots, A4 and D4 included.
     """
     from .rootsys import is_closed, subsystem_rank
 

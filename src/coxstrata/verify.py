@@ -15,10 +15,10 @@ from . import betti
 from .cohomology import GradedClass, cup, factor_degree2, poincare_poly
 from .flats import (
     BRUTE_FORCE_MAX_POSITIVE,
-    DEFAULT_FLAT_BUDGET,
     brute_force_flats,
     build_lattice,
     char_poly,
+    enumerable,
     enumerate_rank_counts,
     mobius_table,
     walk,
@@ -35,7 +35,6 @@ from .goodsub import (
 from .rootsys import (
     CartanType,
     RootSystem,
-    build_root_system,
     closure,
     is_closed,
     reflect,
@@ -248,7 +247,7 @@ def strata_checks(rs: RootSystem, lat, rng: random.Random, samples: int = 60) ->
         for h in _h_samples(rs, rng, 3)
     )
     yield _check("relations-vanish-on-embedded-space", vanish)
-    if rs.d <= 12:
+    if rs.d <= BRUTE_FORCE_MAX_POSITIVE:
         support_ok = True
         for fid in lat.by_rank[rs.rank - 1]:
             good_mask = lat.flats[fid].mask
@@ -305,10 +304,10 @@ def verify_type(type_str: str, level: str = "quick", allow_huge: bool = False) -
     checks compare both with the closed-form row; each rank is walked once,
     and the goodsub and orbit checks read the lattice's levels.  E7 and E8
     build no lattice: the orbit checks read walk(rs), one group at a time.
+    `flats.enumerable` refuses a type over the flat budget before its root system is built.
     """
     rng = random.Random(0)
-    rs = build_root_system(CartanType.parse(type_str))
-    budget = None if allow_huge else DEFAULT_FLAT_BUDGET
+    rs, budget = enumerable(CartanType.parse(type_str), allow_huge)
     checks = list(rootsys_checks(rs, rng))
     counts = enumerate_rank_counts(rs, max_flats=budget)
     if str(rs.ctype) in ("E7", "E8"):

@@ -402,7 +402,7 @@ def test_highest_root_dominates_fails_on_a_root_above_theta(monkeypatch, capsys)
     rs = RootSystem(CartanType.parse("B3"))
     i = rs.simple_coefficients.index((0, 1, 2))
     rs.simple_coefficients[i] = (0, 0, 3)
-    monkeypatch.setattr("coxstrata.verify.build_root_system", lambda ctype: rs)
+    monkeypatch.setattr("coxstrata.flats.build_root_system", lambda ctype: rs)
     assert main(["verify", "B3"]) == 1
     assert "FAIL B3:highest-root-dominates" in capsys.readouterr().out.splitlines()
 
@@ -411,10 +411,6 @@ def test_verify_labels_checks_with_the_canonical_type(capsys):
     assert main(["verify", "a2"]) == 0
     checks = capsys.readouterr().out.splitlines()[:-1]
     assert checks and all(line.startswith("PASS A2:") for line in checks)
-
-
-def _over_budget(*args, **kwargs):
-    raise ResourceLimit("flat budget 1 exceeded")
 
 
 @pytest.mark.parametrize(
@@ -431,8 +427,7 @@ def _over_budget(*args, **kwargs):
     ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
 )
 def test_budget_error_names_allow_huge_only_where_it_lifts_the_budget(argv, hint, monkeypatch, capsys):
-    monkeypatch.setattr("coxstrata.cli.DEFAULT_FLAT_BUDGET", 1)
-    monkeypatch.setattr("coxstrata.verify.build_lattice", _over_budget)
+    monkeypatch.setattr("coxstrata.flats.DEFAULT_FLAT_BUDGET", 1)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: flat budget 1 exceeded")
@@ -536,7 +531,7 @@ def test_allow_huge_lifts_the_budget_of_the_walking_commands(argv, monkeypatch, 
     assert main(argv) == 0
     expected = capsys.readouterr().out
     budgets = []
-    monkeypatch.setattr("coxstrata.cli.check_flat_budget", lambda rs, cap: budgets.append(cap))
+    monkeypatch.setattr("coxstrata.flats.check_flat_budget", lambda rs, cap: budgets.append(cap))
     assert main([*argv, "--allow-huge"]) == 0
     assert capsys.readouterr().out == expected
     assert budgets == [None]
@@ -593,12 +588,17 @@ def test_malformed_or_reducible_type_is_a_usage_error(text, message, capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     result = run_cli("betti")
     assert result.returncode == 2
     result = run_cli("nonsense")
     assert result.returncode == 2
     assert main(["cup", "A2", "--table"]) == 2
+    # Path("") is the working directory, where the cache file would land.
+    monkeypatch.chdir(tmp_path)
+    assert main(["lattice", "A2", "--cache-dir", ""]) == 2
+    assert capsys.readouterr().err.endswith("error: --cache-dir needs a directory, not an empty path\n")
+    assert not any(tmp_path.iterdir())
 
 
 ORBITS_OUTPUT = {
@@ -802,8 +802,9 @@ def _unbuildable(ctype):
 def test_over_budget_type_is_refused_before_its_root_system_is_built(argv, monkeypatch, capsys):
     # A150's root system takes minutes to build; its closed-form count, a
     # millisecond.  member is refused before its one-coordinate point is read.
+    # Both names: the gate's, and the cli's own for the commands that enumerate nothing.
+    monkeypatch.setattr("coxstrata.flats.build_root_system", _unbuildable)
     monkeypatch.setattr("coxstrata.cli.build_root_system", _unbuildable)
-    monkeypatch.setattr("coxstrata.verify.build_root_system", _unbuildable)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: flat budget 120000 exceeded: A150 has ")

@@ -22,6 +22,7 @@ from coxstrata.errors import (
     ResourceLimit,
 )
 from coxstrata.flats import (
+    DEFAULT_FLAT_BUDGET,
     IntersectionLattice,
     Level,
     _expand_flat,
@@ -33,6 +34,7 @@ from coxstrata.flats import (
     build_lattice,
     char_poly,
     check_flat_budget,
+    enumerable,
     enumerate_rank_counts,
     flat_id,
     join,
@@ -45,7 +47,8 @@ from coxstrata.flats import (
     walk_rank_counts,
     whitney_second,
 )
-from coxstrata.rootsys import build_root_system, classify_subsystem, closure
+from coxstrata.rootsys import CartanType, build_root_system, classify_subsystem, closure
+from coxstrata.verify import verify_type
 
 # Stratum counts by codimension, as published for small ranks.
 KNOWN_ROWS = {
@@ -509,6 +512,44 @@ def test_a_rank_outside_the_type_is_refused():
         with pytest.raises(RankOutOfRange):
             flat_id(rs, k, mask)
     assert flat_id(rs, 1, mask) == 1  # the least atom: id 0 is the bottom flat
+
+
+def test_a_mask_wider_than_the_type_has_no_flat_id():
+    # The key of (1 << 64) | 1 would keep only its low word, the mask of the least atom.
+    rs = build_root_system("A2")
+    for mask in ((1 << 64) | 1, 1 << rs.d, -1):
+        with pytest.raises(InvalidId):
+            flat_id(rs, 1, mask)
+
+
+def test_a_cover_missing_from_the_next_rank_is_an_invariant_violation(monkeypatch):
+    # Each child loses its highest root, so it is no flat of the next rank:
+    # placed by bisection alone, it would take a neighbour's place.
+    def one_root_short(rs, mask):
+        return [m ^ 1 << m.bit_length() - 1 for m in _expand_flat(rs, mask)]
+
+    monkeypatch.setattr("coxstrata.flats._expand_flat", one_root_short)
+    with pytest.raises(InvariantViolation, match="is not a flat of the next rank"):
+        build_lattice(build_root_system("A3"))
+
+
+def _unbuildable(ctype):
+    raise AssertionError(f"the root system of {ctype} was built")
+
+
+@pytest.mark.parametrize("name", ["A40", "A150", "E8"])
+def test_verify_type_refuses_an_over_budget_type_before_building_it(name, monkeypatch):
+    monkeypatch.setattr("coxstrata.flats.build_root_system", _unbuildable)
+    with pytest.raises(ResourceLimit, match=f"^flat budget 120000 exceeded: {name} has "):
+        verify_type(name)
+
+
+def test_enumerable_lifts_the_budget_only_with_allow_huge():
+    ctype = CartanType.parse("E8")
+    with pytest.raises(ResourceLimit):
+        enumerable(ctype)
+    assert enumerable(CartanType.parse("B4")) == (build_root_system("B4"), DEFAULT_FLAT_BUDGET)
+    assert enumerable(ctype, allow_huge=True) == (build_root_system("E8"), None)
 
 
 def test_importing_the_package_starts_no_process_machinery():

@@ -46,7 +46,7 @@ def _good(lat) -> list[int]:
     return [lat.flats[fid].mask for fid in lat.by_rank[lat.rs.rank - 1]]
 
 
-def test_enumerate_good_examples(lattice_of):
+def test_good_subsystem_examples(lattice_of):
     rs, lat = lattice_of("A2")
     goods = _good(lat)
     assert len(goods) == 3
