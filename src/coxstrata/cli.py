@@ -55,7 +55,7 @@ from .strata import ExtendedPoint, Rejection, _stratum
 from .weyl import flat_types, orbit_types, parabolic_summary
 
 CACHE_MAGIC = b"CXLT"
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 def _parse_type(text: str) -> CartanType:
@@ -68,36 +68,28 @@ def _parse_type(text: str) -> CartanType:
 # -- binary lattice cache ---------------------------------------------------
 #
 # A cache file is a 40-byte header (magic, version, one SHA-256 over the
-# positive-root order and the payload) and a payload: the flat count, each
-# flat's rank byte and mask, then the cover pairs.  The digest binds the file
-# to its root system and rejects any corrupted byte.
+# positive-root order and the payload) and a payload: the cover pairs, as
+# flat ids.  The digest binds the file to its root system and rejects any
+# corrupted byte.  The flats, their ids and orbit labels come from the walk
+# on load, so a change to the order of flat ids must bump CACHE_VERSION.
 
 
-def _cache_header(rs: RootSystem, parts: list) -> bytes:
+def _cache_header(rs: RootSystem, payload) -> bytes:
     h = hashlib.sha256(
         b"|".join(b",".join(str(x).encode() for x in rs.roots[i]) for i in rs.positives)
     )
-    for part in parts:
-        h.update(part)
+    h.update(payload)
     return CACHE_MAGIC + struct.pack("<I", CACHE_VERSION) + h.digest()
 
 
 def save_lattice_cache(lat: IntersectionLattice, path: Path) -> None:
-    mask_bytes = (lat.rs.d + 7) // 8
-    # The parts go to the digest and the file one at a time: joining them
-    # (a bytes object per cover, then two copies) took E7 from 148 to 261 MB.
-    parts = [
-        struct.pack("<Q", len(lat.flats)),
-        b"".join(bytes([f.rank]) + f.mask.to_bytes(mask_bytes, "little") for f in lat.flats),
-        np.array(lat.covers, dtype="<u4"),
-    ]
+    covers = np.array(lat.covers, dtype="<u4")
     # A reader sees the old file or the whole new one, never a partial write.
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("wb") as out:
-            out.write(_cache_header(lat.rs, parts))
-            for part in parts:
-                out.write(part)
+            out.write(_cache_header(lat.rs, covers))
+            out.write(covers)
         os.replace(tmp, path)
     except OSError:
         tmp.unlink(missing_ok=True)
@@ -111,21 +103,17 @@ def load_lattice_cache(rs: RootSystem, path: Path) -> IntersectionLattice | None
     except OSError:
         return None
     payload = memoryview(data)[40:]
-    if data[:40] != _cache_header(rs, [payload]):
+    if data[:40] != _cache_header(rs, payload):
         return None
+    walks = list(walk(rs))
+    levels = [key_masks(level.keys) for level in walks]
+    # Covers share one int object per id, as build_lattice's do.
+    ids = list(range(sum(map(len, levels))))
     try:
-        (n_flats,) = struct.unpack_from("<Q", payload)
-        step = 1 + (rs.d + 7) // 8
-        end = 8 + n_flats * step
-        levels: list[list[int]] = [[] for _ in range(rs.rank + 1)]
-        for pos in range(8, end, step):
-            levels[payload[pos]].append(int.from_bytes(payload[pos + 1 : pos + step], "little"))
-        # Covers share one int object per id, as build_lattice's do.
-        ids = list(range(n_flats))
-        covers = [(ids[lo], ids[hi]) for lo, hi in struct.iter_unpack("<II", payload[end:])]
+        covers = [(ids[lo], ids[hi]) for lo, hi in struct.iter_unpack("<II", payload)]
     except (struct.error, IndexError):  # only a hand-made file with a valid digest gets here
         return None
-    return IntersectionLattice(rs, levels, covers)
+    return IntersectionLattice(rs, levels, covers, walks)
 
 
 # -- streamed JSON ------------------------------------------------------------
@@ -452,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse reads a value such as "-1,2,3" as an option; bind it to its flag.
-    if "--point" in argv[:-1]:
+    # argparse reads a value such as "-1,2,3" as an option; bind each to its flag.
+    while "--point" in argv[:-1]:
         i = argv.index("--point")
         argv[i : i + 2] = [f"--point={argv[i + 1]}"]
     try:

@@ -6,10 +6,11 @@ over positive-root positions and graded by span dimension.
 Every command that enumerates flats reads the W-orbit walk, one BFS per group
 of ranks: `betti --method enum` and `member` read its BFS layers
 (`walk_rank_counts`, `flat_id`), the others `walk` or `walk_level`, each rank
-sorted into a `Level`.  `build_lattice` keeps each rank's `Level`; a lattice
-made from levels and covers alone runs `walk` when a rank is first read
-(`IntersectionLattice.level`).  The closure sweep `enumerate_rank_counts` is
-the independent second route to the counts that `verify` checks against.
+sorted into a `Level`.  `build_lattice` and the cache loader hand their
+lattice the walk its levels came from; levels a library caller passes alone
+are walked and checked when a rank is first read (`IntersectionLattice.level`).
+The closure sweep `enumerate_rank_counts` is the independent second route to
+the counts that `verify` checks against.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ class IntersectionLattice:
     """All flats of the arrangement of a root system, with covers.
 
     Flat ids are dense and sorted by (rank, mask); queries are read-only
-    after construction.  walk, when given, is list(walk(rs)); without it,
-    the first level(k) runs the walk and checks every rank against it.
+    after construction.  walk is list(walk(rs)), as build_lattice and the
+    cache loader pass it; levels passed alone are checked rank by rank
+    against the walk that the first level(k) runs.
     """
 
     def __init__(

@@ -62,8 +62,6 @@ class CartanType:
             if not (part[:1].isalpha() and part[1:].isascii() and part[1:].isdecimal()):
                 raise InvalidRank(f"cannot parse type string {text!r}")
             factors.append((part[0].upper(), int(part[1:])))
-        if not factors:
-            raise InvalidRank("empty type string")
         return cls(tuple(factors))
 
     @property

@@ -62,6 +62,14 @@ def test_betti_compare(capsys):
     assert out.count("1 24 34 12 1") == 3
 
 
+def test_betti_compare_mismatch_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr("coxstrata.cli.walk_rank_counts", lambda rs, max_flats: [1, 12, 12, 1])
+    assert main(["betti", "D4", "--compare"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "MISMATCH between methods\n"
+    assert "enum     1 12 12 1\n" in captured.out
+
+
 def test_betti_methods(capsys):
     assert main(["betti", "B3", "--method", "enum"]) == 0
     assert capsys.readouterr().out.strip() == "1 13 9 1"
@@ -142,6 +150,10 @@ def test_member_point_may_start_negative(capsys):
     assert main(["member", "A2", "--point=-1,2,1"]) == 0
     assert capsys.readouterr().out == spaced
     assert spaced.startswith("stratum rank 2")
+    # A repeated --point takes its last value, as argparse does, negative or not.
+    for argv in (["--point", "1,2,inf", "--point", "-1,2,1"], ["--point=1,2,inf", "--point=-1,2,1"]):
+        assert main(["member", "A2", *argv]) == 0
+        assert capsys.readouterr().out == spaced
 
 
 def test_member_coordinate_order_matches_rootinfo(capsys):
@@ -198,10 +210,10 @@ def test_cache_round_trip(tmp_path):
     assert load_lattice_cache(rs, path) is None
 
 
-# SHA-256 of the version-2 cache files written before the writer streamed its parts.
+# SHA-256 of the version-3 cache files: the header and the cover pairs.
 CACHE_FILE_SHA256 = {
-    "B3": "aa17da3c5e893c9a0c5e5f8128fc63859a142b402b0064bd069e574e18beb6c6",
-    "B5": "806511d9c7f039bcd5cf0cb0e10467f6bb6a9ee86bdbf7ce1d02d9fe18ffbc82",
+    "B3": "9113243d9a344f7a152a2b356ca7d59fe3e7c960d10f36144370f3ec98537a28",
+    "B5": "900f09bbc5216b6ed6c8accc638fe5cf15f54c15eb3d0b765aa7ec4d35211426",
 }
 
 
@@ -211,6 +223,24 @@ def test_cache_file_bytes_are_pinned(name, tmp_path):
     save_lattice_cache(build_lattice(build_root_system(name)), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_FILE_SHA256[name]
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_a_loaded_lattice_holds_its_walk(tmp_path, monkeypatch):
+    rs = build_root_system("F4")
+    built, path = build_lattice(rs), tmp_path / "F4.cxlt"
+    save_lattice_cache(built, path)
+    loaded = load_lattice_cache(rs, path)
+    assert loaded is not None
+
+    def no_walk(rs, ranks):
+        raise AssertionError("walked after load")
+
+    monkeypatch.setattr("coxstrata.flats._bfs", no_walk)
+    for k in range(rs.rank + 1):
+        level, expected = loaded.level(k), built.level(k)
+        assert level.first == expected.first and level.orbits == expected.orbits
+        assert np.array_equal(level.keys, expected.keys)
+        assert np.array_equal(level.label, expected.label)
 
 
 def test_lattice_command_uses_cache(tmp_path, monkeypatch, capsys):
@@ -280,11 +310,13 @@ def test_export_equals_per_flat_classification_cold_and_warm(name, tmp_path, mon
 @pytest.mark.parametrize("name", ["B3", "F4"])
 def test_export_walks_each_rank_once_cold_and_warm(name, tmp_path, monkeypatch, capsys):
     # The cold export reads the levels that build_lattice kept; the warm
-    # one runs the whole walk once, when its types are first needed.
+    # one runs the whole walk once, on load, and builds no lattice.
     walked = _count_walks(monkeypatch)
     rank = build_root_system(name).rank
-    for fmt in ("json", "csv"):
-        for _ in ("cold", "warm"):
+    for run in ("cold", "warm"):
+        if run == "warm":
+            monkeypatch.setattr("coxstrata.cli.build_lattice", _refuse_to_build)
+        for fmt in ("json", "csv"):
             walked.clear()
             assert main(["lattice", name, "--export", fmt, "--cache-dir", str(tmp_path / fmt)]) == 0
             assert walked == [list(range(rank + 1))]
@@ -841,7 +873,28 @@ def _save_version_1_cache(lat, path):
     path.write_bytes(b"".join(blob))
 
 
-def test_corrupt_or_old_cache_is_rebuilt(tmp_path, capsys):
+def _save_version_2_cache(lat, path):
+    """The version-2 layout: one digest, then the flat count, each flat's rank and mask, the covers."""
+    rs = lat.rs
+    order = b"|".join(b",".join(str(x).encode() for x in rs.roots[i]) for i in rs.positives)
+    payload = struct.pack("<Q", len(lat.flats))
+    payload += b"".join(bytes([f.rank]) + f.mask.to_bytes((rs.d + 7) // 8, "little") for f in lat.flats)
+    payload += b"".join(struct.pack("<II", lo, hi) for lo, hi in lat.covers)
+    path.write_bytes(b"CXLT" + struct.pack("<I", 2) + hashlib.sha256(order + payload).digest() + payload)
+
+
+def _count_builds(monkeypatch):
+    built = []
+
+    def counting(rs, **kwargs):
+        built.append(str(rs.ctype))
+        return build_lattice(rs, **kwargs)
+
+    monkeypatch.setattr("coxstrata.cli.build_lattice", counting)
+    return built
+
+
+def test_corrupt_or_old_cache_is_rebuilt(tmp_path, monkeypatch, capsys):
     argv = ["lattice", "B3", "--export", "json", "--cache-dir", str(tmp_path / "cache")]
     rs, path = build_root_system("B3"), tmp_path / "cache" / "B3.cxlt"
     assert main(argv) == 0
@@ -859,11 +912,56 @@ def test_corrupt_or_old_cache_is_rebuilt(tmp_path, capsys):
     assert capsys.readouterr().out == expected
     assert path.read_bytes() == good
 
-    _save_version_1_cache(build_lattice(rs), path)
-    assert load_lattice_cache(rs, path) is None
+    built = _count_builds(monkeypatch)
+    for save_old in (_save_version_1_cache, _save_version_2_cache):
+        save_old(build_lattice(rs), path)
+        assert load_lattice_cache(rs, path) is None
+        built.clear()
+        assert main(argv) == 0
+        assert built == ["B3"]
+        assert capsys.readouterr().out == expected
+        assert path.read_bytes() == good
+    # The version-2 helper writes the bytes that the version-2 writer gave B3.
+    _save_version_2_cache(build_lattice(rs), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "aa17da3c5e893c9a0c5e5f8128fc63859a142b402b0064bd069e574e18beb6c6"
+    )
+
+
+@pytest.mark.parametrize("damage", ["torn last pair", "cover id past the last flat"])
+def test_a_malformed_cache_with_a_valid_digest_is_rebuilt(damage, tmp_path, monkeypatch, capsys):
+    argv = ["lattice", "B3", "--export", "json", "--cache-dir", str(tmp_path)]
+    rs, path = build_root_system("B3"), tmp_path / "B3.cxlt"
     assert main(argv) == 0
+    expected, good = capsys.readouterr().out, path.read_bytes()
+    if damage == "torn last pair":
+        payload = good[40:-3]
+    else:
+        lat = build_lattice(rs)
+        covers = [*lat.covers[:-1], (lat.covers[-1][0], len(lat.flats))]
+        payload = np.array(covers, dtype="<u4").tobytes()
+    path.write_bytes(cli._cache_header(rs, payload) + payload)
+    assert load_lattice_cache(rs, path) is None
+    built = _count_builds(monkeypatch)
+    assert main(argv) == 0
+    assert built == ["B3"]
     assert capsys.readouterr().out == expected
     assert path.read_bytes() == good
+
+
+def test_a_failed_cache_rename_leaves_no_temporary_file(tmp_path, monkeypatch, capsys):
+    assert main(["lattice", "A3", "--export", "csv"]) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(src, dst):
+        raise OSError(f"cannot rename {src}")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    assert main(["lattice", "A3", "--export", "csv", "--cache-dir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err.startswith("warning: lattice cache not written: cannot rename")
+    assert not any(tmp_path.iterdir())
 
 
 def test_unwritable_cache_still_answers(tmp_path, capsys):

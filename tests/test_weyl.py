@@ -179,7 +179,7 @@ def _levels(lat):
 
 
 def _unlabelled(lat):
-    """The lattice from its levels and covers alone, as a cache load gives it."""
+    """The lattice from its levels and covers alone, as a library caller may make it."""
     return IntersectionLattice(lat.rs, _levels(lat), lat.covers)
 
 
