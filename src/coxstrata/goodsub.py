@@ -5,12 +5,13 @@ so goodness tests are one closure call.  Candidates of rank r-1 are
 produced Borel-de Siebenthal style by deleting coprime-label node pairs
 from the affine diagram.  For classical types, k-step good subsystems
 are encoded by small descriptor sets subject to per-type star
-conditions; descriptors are:
+conditions.  Each descriptor names one positive root, and a descriptor
+is valid exactly when it is a key of its type's memoised table:
 
     type A    (i, j)       the run of consecutive simple roots i..j
     type B/C  (i,)         the i-th coordinate root (doubled in C)
-              (i, j, s)    e_i + e_j for s='+', e_i - e_j for s='-'
-    type D    (i, j, s)    same pair encoding, i < j
+              (i, j, s)    e_i + e_j for s='+', e_i - e_j for s='-', i < j
+    type D    (i, j, s)    same pair encoding
 
 A descriptor runs from a first to a second endpoint; (i,) is its own
 second endpoint.  A parameter set keeps, for each first endpoint, the
@@ -21,6 +22,7 @@ coordinate root (i,) is always kept and shadows every pair from i.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import Iterable, Iterator
@@ -31,6 +33,7 @@ from .rootsys import (
     CartanType,
     RootSystem,
     additive_closure,
+    build_root_system,
     closure,
     subsystem_rank,
 )
@@ -76,34 +79,9 @@ def bds_covers_all(rs: RootSystem, level: Level) -> bool:
 # -- descriptor plumbing -----------------------------------------------------
 
 
-def _family(rs_or_type) -> tuple[str, int]:
-    ctype = rs_or_type.ctype if isinstance(rs_or_type, RootSystem) else rs_or_type
-    if isinstance(ctype, str):
-        ctype = CartanType.parse(ctype)
-    if not ctype.is_irreducible:
-        raise NotClassical("parametrization is per irreducible type")
-    if ctype.factors[0][0] not in "ABCD":
-        raise NotClassical(f"{ctype} is not classical")
-    return ctype.factors[0]
-
-
 def _ends(desc: Descriptor) -> tuple[int, int]:
     """First and second endpoint; a coordinate root (i,) is its own second one."""
     return desc[0], desc[0] if len(desc) == 1 else desc[1]
-
-
-def _descriptor_root(rs: RootSystem, family: str, desc: Descriptor) -> int:
-    m = rs.ambient
-    v = [0] * m
-    if family == "A":
-        i, j = desc
-        v[i - 1], v[j] = 1, -1
-    elif len(desc) == 1:
-        v[desc[0] - 1] = 2 if family == "C" else 1
-    else:
-        i, j, s = desc
-        v[i - 1], v[j - 1] = 1, (1 if s == "+" else -1)
-    return rs.index[tuple(v)]
 
 
 def _root_descriptor(rs: RootSystem, family: str, index: int) -> Descriptor:
@@ -118,28 +96,24 @@ def _root_descriptor(rs: RootSystem, family: str, index: int) -> Descriptor:
     return (i, j, "+" if xi == xj else "-")
 
 
-def descriptors_of(rs: RootSystem, mask: int) -> set[Descriptor]:
+@lru_cache(maxsize=None)
+def _classical(ctype: CartanType | str) -> tuple[str, dict[Descriptor, int]]:
+    """A classical type's family letter and its descriptors' positive positions."""
+    if isinstance(ctype, str):
+        return _classical(CartanType.parse(ctype))
+    if not ctype.is_irreducible:
+        raise NotClassical("parametrization is per irreducible type")
+    family = ctype.factors[0][0]
+    if family not in "ABCD":
+        raise NotClassical(f"{ctype} is not classical")
+    rs = build_root_system(ctype)
+    return family, {_root_descriptor(rs, family, i): p for p, i in enumerate(rs.positives)}
+
+
+def descriptors_of(rs: RootSystem, mask: int | Iterable[int]) -> set[Descriptor]:
     """Descriptor set of the positive roots of a classical subsystem."""
-    family, _ = _family(rs)
-    return {_root_descriptor(rs, family, i) for i in rs.positive_indices(mask)}
-
-
-def _validate(family: str, rank: int, P: Iterable[Descriptor]) -> list[Descriptor]:
-    descs = sorted(P)
-    for d in descs:
-        if family == "A":
-            ok = len(d) == 2 and 1 <= d[0] <= d[1] <= rank
-        elif len(d) == 1:
-            ok = family in "BC" and 1 <= d[0] <= rank
-        else:
-            ok = (
-                len(d) == 3
-                and 1 <= d[0] < d[1] <= rank
-                and d[2] in ("+", "-")
-            )
-        if not ok:
-            raise MalformedDescriptor(f"bad descriptor {d!r} for type {family}{rank}")
-    return descs
+    descs = list(_classical(rs.ctype)[1])
+    return {descs[p] for p in rs.positions(rs.as_mask(mask))}
 
 
 def star_check(ptype: CartanType | str, P: Iterable[Descriptor]) -> bool:
@@ -147,8 +121,13 @@ def star_check(ptype: CartanType | str, P: Iterable[Descriptor]) -> bool:
 
     In types A, B and C no two descriptors share a first or a second endpoint.
     """
-    family, rank = _family(ptype)
-    descs = _validate(family, rank, P)
+    family, table = _classical(ptype)
+    descs = list(P)
+    for d in descs:
+        try:
+            table[d]
+        except (KeyError, TypeError):  # TypeError: an unhashable entry
+            raise MalformedDescriptor(f"bad descriptor {d!r} for type {ptype}") from None
     if family == "D":
         return _star_check_d(descs)
     ends = [_ends(d) for d in descs]
@@ -192,7 +171,7 @@ def param_F(rs: RootSystem, subsystem: int | Iterable[int]) -> frozenset[Descrip
     from i.  In type D the plus member of every chain pair except the last
     is then dropped, so the set has cardinality r-k.
     """
-    family, _ = _family(rs)
+    family, _ = _classical(rs.ctype)
     mask = rs.as_mask(subsystem)
     if closure(rs, mask) != mask:
         raise NotGood("subsystem is not span-closed")
@@ -219,35 +198,21 @@ def param_F(rs: RootSystem, subsystem: int | Iterable[int]) -> frozenset[Descrip
 def param_G(rs: RootSystem, P: Iterable[Descriptor]) -> int:
     """Subsystem generated by a star-valid descriptor set.
 
-    Additive closure in type A, span closure in types B, C and D.
+    Additive closure in type A, span closure in types B, C and D.  In
+    type A every additively closed set of roots is span-closed, so the
+    two closures agree there, and the additive one is cheaper.
     """
-    family, rank = _family(rs)
+    family, table = _classical(rs.ctype)
+    P = list(P)
     if not star_check(rs.ctype, P):
         raise StarViolation(f"descriptor set {sorted(P)} fails the star conditions")
-    roots = [_descriptor_root(rs, family, d) for d in P]
-    if family == "A":
-        return additive_closure(rs, roots)
-    return closure(rs, roots)
-
-
-def descriptor_universe(ctype: CartanType | str) -> list[Descriptor]:
-    family, rank = _family(ctype)
-    if family == "A":
-        return [(i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
-    pairs = [
-        (i, j, s)
-        for i in range(1, rank + 1)
-        for j in range(i + 1, rank + 1)
-        for s in ("+", "-")
-    ]
-    if family in "BC":
-        return [(i,) for i in range(1, rank + 1)] + pairs
-    return pairs
+    mask = sum(1 << table[d] for d in set(P))
+    return additive_closure(rs, mask) if family == "A" else closure(rs, mask)
 
 
 def star_sets(ctype: CartanType | str, size: int) -> Iterator[frozenset[Descriptor]]:
     """All star-valid descriptor sets of the given cardinality."""
-    universe = descriptor_universe(ctype)
+    universe = sorted(_classical(ctype)[1], key=lambda d: (len(d), d))
     for combo in combinations(universe, size):
         if star_check(ctype, combo):
             yield frozenset(combo)

@@ -4,7 +4,8 @@ All classical and exceptional irreducible types are realized in a fixed
 ambient Z^m (half-integer families uniformly doubled), generated by
 reflection closure from the simple roots.  Root subsets are bit masks
 over positive-root positions; every subset operation treats the set as
-closed under negation, and refuses a mask or root index out of range.
+closed under negation.  Root indices, positions and masks are checked
+wherever they enter, and one out of range raises InvalidId.
 Two tables answer every W action and closedness question: `gather`, each
 simple reflection as a permutation of positive positions, and
 `pair_sums`, the roots among alpha_p +- alpha_q.
@@ -144,6 +145,12 @@ def _reflect_coords(v: Sequence[int], mirror: Sequence[int]) -> tuple[int, ...]:
     return tuple(a - q * b for a, b in zip(v, mirror))
 
 
+def _in_range(what: str, value: int, top: int) -> int:
+    if not 0 <= value <= top:
+        raise InvalidId(f"{what} {value} outside 0..{top}")
+    return value
+
+
 class RootSystem:
     """An irreducible root system with deterministic root indexing.
 
@@ -223,28 +230,34 @@ class RootSystem:
 
     # -- subset plumbing ------------------------------------------------
 
+    def root(self, idx: int) -> tuple[int, ...]:
+        """The coordinates of root idx."""
+        return self.roots[_in_range("root index", idx, 2 * self.d - 1)]
+
+    def positive_root(self, p: int) -> tuple[int, ...]:
+        """The coordinates of the positive root in position p."""
+        return self.roots[self.positives[_in_range("position", p, self.d - 1)]]
+
     def as_mask(self, subset: int | Iterable[int]) -> int:
         """Normalize a positive-position mask or iterable of root indices."""
         if isinstance(subset, int):
-            if not 0 <= subset <= self.full_mask:
-                raise InvalidId(f"mask {subset} outside 0..{self.full_mask}")
-            return subset
+            return _in_range("mask", subset, self.full_mask)
         mask = 0
         for idx in subset:
-            if not 0 <= idx < 2 * self.d:
-                raise InvalidId(f"root index {idx} outside 0..{2 * self.d - 1}")
             mask |= 1 << self.position(idx)
         return mask
 
     def position(self, idx: int) -> int:
         """The positive position of root idx or of its negative."""
+        _in_range("root index", idx, 2 * self.d - 1)
         return self.pos_of[max(idx, self.neg[idx])]  # positives hold the upper indices
 
     def positive_indices(self, mask: int) -> list[int]:
+        mask = _in_range("mask", mask, self.full_mask)
         return [self.positives[p] for p in range(self.d) if mask >> p & 1]
 
     def positions(self, mask: int) -> list[int]:
-        out = []
+        mask, out = _in_range("mask", mask, self.full_mask), []
         while mask:
             low = mask & -mask
             out.append(low.bit_length() - 1)
@@ -313,7 +326,7 @@ def build_root_system(ctype: CartanType | str) -> RootSystem:
 
 def reflect(rs: RootSystem, mirror: int, target: int) -> int:
     """Index of the reflection of root `target` in the mirror root's hyperplane."""
-    return rs.index[_reflect_coords(rs.roots[target], rs.roots[mirror])]
+    return rs.index[_reflect_coords(rs.root(target), rs.root(mirror))]
 
 
 def closure(rs: RootSystem, subset: int | Iterable[int]) -> int:

@@ -62,8 +62,8 @@ class Functional:
 
         Over the relation x with the basis, it is -sum(x[i] * values[i - 1]) / x[0].
         """
-        basis = [rs.roots[rs.positives[p]] for p in self.basis_positions]
-        x = _relation(rs.roots[rs.positives[position]], basis)
+        basis = [rs.positive_root(p) for p in self.basis_positions]
+        x = _relation(rs.positive_root(position), basis)
         if x is None:
             return None
         return -sum((c * v for c, v in zip(x[1:], self.values)), Fraction(0)) / x[0]
@@ -194,7 +194,7 @@ def limit_point(
         witness.basis_positions + (rs.position(lam0),), witness.values + (Fraction(t),)
     )
     if within is None:
-        if bareiss_rank([rs.roots[rs.positives[p]] for p in ext.basis_positions]) != rs.rank:
+        if bareiss_rank([rs.positive_root(p) for p in ext.basis_positions]) != rs.rank:
             raise SpanDeficient("auxiliary root does not complete the span")
         within = rs.full_mask
     values: list[Value] = [None] * rs.d

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import additive_closure_by_tuple_sums, orbit_masks
 from coxstrata.betti import betti_row_closed_form
-from coxstrata.errors import MalformedDescriptor, NotClassical, NotGood, StarViolation
+from coxstrata.errors import InvalidId, MalformedDescriptor, NotClassical, NotGood, StarViolation
 from coxstrata.flats import key_masks, walk_level, whitney_second
 from coxstrata.goodsub import (
     bds_candidates,
@@ -161,6 +161,10 @@ def test_star_check_type_b():
     assert star_check("B2", {(1,), (2,)})
     with pytest.raises(MalformedDescriptor):
         star_check("B2", {(2, 1, "+")})
+    # Entries that do not compare with the others, and an unhashable one.
+    for P in ([(1, 2, "+"), (1, 2, 3)], [(1,), ("x",)], [(1,), [2]]):
+        with pytest.raises(MalformedDescriptor):
+            star_check("B3", P)
 
 
 def test_star_check_type_d_fixture():
@@ -205,6 +209,7 @@ def test_param_g_examples(lattice_of):
     a2, _ = lattice_of("A2")
     theta_mask = 1 << a2.pos_of[a2.index[(1, 0, -1)]]
     assert param_G(a2, {(1, 2)}) == theta_mask
+    assert param_G(a2, iter([(1, 2)])) == theta_mask  # read once, by the star check too
 
     b2, _ = lattice_of("B2")
     eps1_mask = 1 << b2.pos_of[b2.index[(1, 0)]]
@@ -256,8 +261,36 @@ def test_every_flat_round_trips_through_its_parameter_set(name, lattice_of):
         assert param_G(rs, P) == f.mask, sorted(P)
 
 
-def test_descriptors_of_roundtrip(lattice_of):
-    for name in ["A3", "B3", "C3", "D4"]:
-        rs, _ = lattice_of(name)
-        descs = descriptors_of(rs, rs.full_mask)
-        assert len(descs) == rs.d
+def test_descriptors_of_roundtrip():
+    # Each positive root is one descriptor, which generates that root alone
+    # and is a star set of size one on its own.
+    names = (
+        [f"A{r}" for r in range(1, 7)]
+        + [f"{f}{r}" for f in "BC" for r in range(2, 6)]
+        + [f"D{r}" for r in range(3, 7)]
+    )
+    for name in names:
+        rs = build_root_system(name)
+        singles = []
+        for p in range(rs.d):
+            (desc,) = descriptors_of(rs, 1 << p)
+            assert param_G(rs, {desc}) == 1 << p, (name, desc)
+            singles.append(frozenset({desc}))
+        assert sorted(star_sets(name, 1), key=sorted) == sorted(singles, key=sorted), name
+    # The order of star_sets: shorter descriptors first, then lexicographic.
+    b3 = [
+        (1,), (2,), (3,),
+        (1, 2, "+"), (1, 2, "-"), (1, 3, "+"), (1, 3, "-"), (2, 3, "+"), (2, 3, "-"),
+    ]
+    assert list(star_sets("B3", 1)) == [frozenset({d}) for d in b3]
+    d4 = [
+        (1, 2, "+"), (1, 2, "-"), (1, 3, "+"), (1, 3, "-"), (1, 4, "+"), (1, 4, "-"),
+        (2, 3, "+"), (2, 3, "-"), (2, 4, "+"), (2, 4, "-"), (3, 4, "+"), (3, 4, "-"),
+    ]
+    assert list(star_sets("D4", 1)) == [frozenset({d}) for d in d4]
+
+
+@pytest.mark.parametrize("mask", [-1, 1 << 9])
+def test_descriptors_of_refuses_an_out_of_range_mask(mask):
+    with pytest.raises(InvalidId):
+        descriptors_of(build_root_system("A2"), mask)

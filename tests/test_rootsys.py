@@ -364,6 +364,20 @@ def test_out_of_range_subsets_are_refused():
         call(rs, [0, 5])
 
 
+@pytest.mark.parametrize("mirror, target", [(-1, 0), (0, -1), (6, 0), (0, 6)])
+def test_reflect_refuses_an_out_of_range_root_index(mirror, target):
+    rs = build_root_system("A2")  # root indices 0..5
+    with pytest.raises(InvalidId):
+        reflect(rs, mirror, target)
+
+
+@pytest.mark.parametrize("idx", [-1, 6])
+def test_position_refuses_an_out_of_range_root_index(idx):
+    rs = build_root_system("A2")
+    with pytest.raises(InvalidId):
+        rs.position(idx)
+
+
 def test_one_root_system_per_type():
     # A string is memoized as its parsed type, so its lazy tables are built once.
     e7 = build_root_system(CartanType.parse("E7"))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import signal
 from fractions import Fraction
 from itertools import product
 
@@ -200,6 +201,48 @@ def test_limit_point_span_deficient(lattice_of):
     # rank(atom) + one root cannot span a rank-3 space
     with pytest.raises(SpanDeficient):
         limit_point(rs, witness, rs.simples[2], 7)
+
+
+def _a2_witness(lattice_of):
+    rs, _ = lattice_of("A2")  # positions 0..2, root indices 0..5
+    return rs, Functional((pos_of_coords(rs, (1, -1, 0)),), (Fraction(5),))
+
+
+def test_limit_point_refuses_an_out_of_range_lam0(lattice_of):
+    rs, witness = _a2_witness(lattice_of)
+    with pytest.raises(InvalidId):
+        limit_point(rs, witness, -6, 10)
+
+
+def test_limit_point_refuses_a_within_mask_past_the_positives(lattice_of):
+    rs, witness = _a2_witness(lattice_of)
+    with pytest.raises(InvalidId):
+        limit_point(rs, witness, rs.index[(0, 1, -1)], 10, within=0b1011)
+
+
+def test_limit_point_refuses_a_negative_within_mask(lattice_of):
+    # A negative mask has no highest bit, so a walk over its set bits would
+    # never end; the alarm turns such a hang into a failure.
+    rs, witness = _a2_witness(lattice_of)
+
+    def hang(signum, frame):
+        raise TimeoutError("limit_point did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(InvalidId):
+            limit_point(rs, witness, rs.index[(0, 1, -1)], 10, within=-1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("position", [-1, 3])
+def test_evaluate_refuses_an_out_of_range_position(lattice_of, position):
+    rs, _ = lattice_of("A2")
+    with pytest.raises(InvalidId):
+        Functional((0,), (Fraction(1),)).evaluate(rs, position)
 
 
 def test_limit_chains_realize_closure_order(lattice_of):
