@@ -47,6 +47,8 @@ def stirling(n: int, k: int) -> int:
 
 def bell(n: int) -> int:
     """Total number of set partitions of an n-set."""
+    if n < 0:
+        raise ValueError("bell argument must be nonnegative")
     return sum(_last_stirling_row(n))
 
 

@@ -4,14 +4,15 @@ A rank-(r-k) subsystem is "k-step good" exactly when it is span-closed,
 so goodness tests are one closure call.  Candidates of rank r-1 are
 produced Borel-de Siebenthal style by deleting coprime-label node pairs
 from the affine diagram.  For classical types, k-step good subsystems
-are encoded by small descriptor sets subject to per-type star
-conditions.  Each descriptor names one positive root, and a descriptor
-is valid exactly when it is a key of its type's memoised table:
+are encoded by small descriptor sets subject to one star condition for
+all four families.  Each descriptor names one positive root, and a
+descriptor is valid exactly when it is a key of its type's memoised table:
 
     type A    (i, j)       the run of consecutive simple roots i..j
     type B/C  (i,)         the i-th coordinate root (doubled in C)
               (i, j, s)    e_i + e_j for s='+', e_i - e_j for s='-', i < j
-    type D    (i, j, s)    same pair encoding
+    type D    (i, j, s)    same pair encoding; D alone may double one pair,
+                           holding both signs, and that pair ends its chain
 
 A descriptor runs from a first to a second endpoint; (i,) is its own
 second endpoint.  A parameter set keeps, for each first endpoint, the
@@ -116,10 +117,18 @@ def descriptors_of(rs: RootSystem, mask: int | Iterable[int]) -> set[Descriptor]
     return {descs[p] for p in rs.positions(rs.as_mask(mask))}
 
 
-def star_check(ptype: CartanType | str, P: Iterable[Descriptor]) -> bool:
-    """Check the star conditions of the matching classical family.
+def _doubled(descs: set[Descriptor]) -> set[Descriptor]:
+    """Type D's doubled pairs: the '+' members whose '-' twin is present."""
+    return {d for d in descs if d[-1] == "+" and (d[0], d[1], "-") in descs}
 
-    In types A, B and C no two descriptors share a first or a second endpoint.
+
+def star_check(ptype: CartanType | str, P: Iterable[Descriptor]) -> bool:
+    """Check the star condition, one endpoint rule for every classical family.
+
+    No descriptor repeats, and the endpoint pairs have distinct first and
+    distinct second endpoints.  Only type D may double a pair (both signs),
+    and at most one; it ends its chain: no pair starts at its second
+    endpoint, and every pair chained into it carries only '-'.
     """
     family, table = _classical(ptype)
     descs = list(P)
@@ -128,38 +137,22 @@ def star_check(ptype: CartanType | str, P: Iterable[Descriptor]) -> bool:
             table[d]
         except (KeyError, TypeError):  # TypeError: an unhashable entry
             raise MalformedDescriptor(f"bad descriptor {d!r} for type {ptype}") from None
-    if family == "D":
-        return _star_check_d(descs)
     ends = [_ends(d) for d in descs]
-    return len({i for i, _ in ends}) == len({j for _, j in ends}) == len(descs)
-
-
-def _star_check_d(descs: list[Descriptor]) -> bool:
-    pairs: dict[tuple[int, int], set[str]] = {}
-    for i, j, s in descs:
-        pairs.setdefault((i, j), set()).add(s)
-    keys = list(pairs)
-    firsts = [i for i, _ in keys]
-    seconds = [j for _, j in keys]
-    if len(set(firsts)) != len(keys) or len(set(seconds)) != len(keys):
+    firsts = {i for i, _ in ends}
+    seconds = {j for _, j in ends}
+    if len(firsts) == len(seconds) == len(descs):  # no endpoint is shared
+        return True
+    # Else one endpoint pair may be shared: by a type D doubled pair, or a repeat.
+    if not len(firsts) == len(seconds) == len(descs) - 1 == len(set(ends)):
         return False
-    both = [ij for ij, signs in pairs.items() if len(signs) == 2]
-    if len(both) > 1:
+    present = set(descs)
+    if family != "D" or len(present) < len(descs):
         return False
-    if both:
-        a, b = both[0]
-        # No pair may continue the chain past the double pair.
-        if any(i == b for i, _ in keys):
-            return False
-        # Every pair chained into the double pair must carry the minus sign.
-        by_second = {j: (i, j) for i, j in keys}
-        cur = a
-        while cur in by_second:
-            link = by_second[cur]
-            if pairs[link] != {"-"}:
-                return False
-            cur = link[0]
-    return True
+    ((a, b, _),) = _doubled(present)
+    before = {j: i for i, j in ends}
+    while a in before and (before[a], a, "-") in present:
+        a = before[a]
+    return b not in firsts and a not in before  # the chain ends at b; no '+' pair feeds it
 
 
 def param_F(rs: RootSystem, subsystem: int | Iterable[int]) -> frozenset[Descriptor]:
@@ -168,30 +161,20 @@ def param_F(rs: RootSystem, subsystem: int | Iterable[int]) -> frozenset[Descrip
     Keeps each descriptor that no other one shadows: one with the same
     first endpoint and a smaller second one.  A coordinate root (i,) is
     its own second endpoint, so it is always kept and drops every pair
-    from i.  In type D the plus member of every chain pair except the last
-    is then dropped, so the set has cardinality r-k.
+    from i.  Then each doubled pair whose second endpoint starts another
+    kept descriptor loses its '+' member, so the set has cardinality r-k.
     """
-    family, _ = _classical(rs.ctype)
     mask = rs.as_mask(subsystem)
+    descs = descriptors_of(rs, mask)
     if closure(rs, mask) != mask:
         raise NotGood("subsystem is not span-closed")
-    descs = descriptors_of(rs, mask)
     nearest: dict[int, int] = {}
     for i, j in map(_ends, descs):
         nearest[i] = min(j, nearest.get(i, j))
     kept = {d for d in descs if _ends(d)[1] == nearest[d[0]]}
-    if family != "D":
-        return frozenset(kept)
-
-    by_pair: dict[tuple[int, int], set[str]] = {}
-    for i, j, s in kept:
-        by_pair.setdefault((i, j), set()).add(s)
-    chain = sorted(ij for ij, signs in by_pair.items() if len(signs) == 2)
-    for (i1, j1), (i2, j2) in zip(chain, chain[1:]):
-        if j1 != i2:
-            raise InvariantViolation("chain pairs must share endpoints")
-    for i, j in chain[:-1]:
-        kept.discard((i, j, "+"))
+    kept -= {d for d in _doubled(kept) if d[1] in nearest}
+    if len(_doubled(kept)) > 1:
+        raise InvariantViolation("a parameter set holds more than one doubled pair")
     return frozenset(kept)
 
 
@@ -206,7 +189,7 @@ def param_G(rs: RootSystem, P: Iterable[Descriptor]) -> int:
     P = list(P)
     if not star_check(rs.ctype, P):
         raise StarViolation(f"descriptor set {sorted(P)} fails the star conditions")
-    mask = sum(1 << table[d] for d in set(P))
+    mask = sum(1 << table[d] for d in P)
     return additive_closure(rs, mask) if family == "A" else closure(rs, mask)
 
 

@@ -51,6 +51,9 @@ def test_stirling_examples():
 def test_bell_and_dowling():
     assert bell(0) == 1
     assert [bell(n) for n in range(7)] == [1, 1, 2, 5, 15, 52, 203]
+    for n in (-1, -3):
+        with pytest.raises(ValueError):
+            bell(n)
     assert dowling(2) == 6
     assert [dowling(n) for n in range(6)] == [1, 2, 6, 24, 116, 648]
 

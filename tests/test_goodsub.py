@@ -177,8 +177,28 @@ def test_star_check_type_d_fixture():
     assert star_check("D4", {(1, 2, "-"), (2, 3, "+"), (2, 3, "-")})
     # nothing may continue past the double pair
     assert not star_check("D4", {(2, 3, "+"), (2, 3, "-"), (3, 4, "-")})
+    # a repeated descriptor, alone or next to its twin
+    repeats = (
+        [(1, 2, "-"), (1, 2, "-")],
+        [(1, 2, "+"), (1, 2, "-"), (1, 2, "+")],
+        [(1, 2, "+"), (1, 2, "-"), (1, 2, "-")],
+    )
+    for P in repeats:
+        assert not star_check("D4", P), P
+    d4 = build_root_system("D4")
+    with pytest.raises(StarViolation):
+        param_G(d4, repeats[0])
     with pytest.raises(NotClassical):
         star_check("G2", set())
+
+
+@pytest.mark.parametrize(
+    "name, P",
+    [("A3", [(1, 2), (3, 3), (1, 2)]), ("B3", [(1,), (1,)]), ("C3", [(2, 3, "+"), (2, 3, "+")])],
+)
+def test_star_check_rejects_a_repeated_descriptor(name, P):
+    assert star_check(name, set(P))
+    assert not star_check(name, P)
 
 
 def test_param_f_examples(lattice_of):
@@ -235,7 +255,7 @@ def test_round_trips_and_counts(lattice_of):
         [(f"A{r}", r) for r in range(1, 6)]
         + [(f"B{r}", r) for r in (2, 3, 4)]
         + [(f"C{r}", r) for r in (2, 3, 4)]
-        + [("D3", 3), ("D4", 4)]
+        + [("D3", 3), ("D4", 4), ("D5", 5)]
     )
     for name, r in cases:
         rs, lat = lattice_of(name)
