@@ -455,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
         hint = " (use --allow-huge to opt in)" if "allow_huge" in vars(args) else ""
         print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
-    except (CoxstrataError, ValueError, OSError) as exc:
+    except (CoxstrataError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,7 @@ import numpy as np
 from .betti import betti_row_closed_form
 from .errors import InvalidId, InvariantViolation, RankOutOfRange, ResourceLimit
 from .linalg import integer_kernel
-from .rootsys import CartanType, RootSystem, build_root_system
+from .rootsys import CartanType, RootSystem, build_root_system, subsystem_rank
 
 #: Default flat budget; admits every type through E7.  E8 (about 5.5M
 #: flats) must be requested explicitly with max_flats=None or a higher cap.
@@ -531,17 +531,23 @@ def enumerate_rank_counts(
 def brute_force_flats(rs: RootSystem) -> list[list[int]]:
     """Independent oracle: flats via exhaustive closed-subsystem search.
 
-    Enumerates every additively closed, negation-closed subset of the
-    root system over all subsets of the positives, then keeps the
-    subsets that are maximal among closed subsets of their span rank.
-    Exponential in d: `verify` runs it on every type with at most
-    BRUTE_FORCE_MAX_POSITIVE positive roots, A4 and D4 included.
+    Decides additive closedness of every subset of the positives in one
+    numpy pass: each pair p < q whose sums are roots ORs those roots into
+    the sums of every mask holding both, and a mask is closed when its
+    sums stay inside it.  It then keeps the closed subsets that are
+    maximal among closed subsets of their span rank.  Exponential in d:
+    `verify` runs it on every type with at most BRUTE_FORCE_MAX_POSITIVE
+    positive roots, A4 and D4 included.
     """
-    from .rootsys import is_closed, subsystem_rank
-
     if rs.d > BRUTE_FORCE_MAX_POSITIVE:
         raise ResourceLimit(f"brute force capped at {BRUTE_FORCE_MAX_POSITIVE} positive roots")
-    closed = [m for m in range(1 << rs.d) if is_closed(rs, m)]
+    masks = np.arange(1 << rs.d, dtype=np.int64)
+    sums = np.zeros_like(masks)
+    for p, q in combinations(range(rs.d), 2):
+        if rs.pair_sums[p][q]:
+            both = 1 << p | 1 << q
+            sums[(masks & both) == both] |= rs.pair_sums[p][q]
+    closed = masks[(sums & ~masks) == 0].tolist()
     ranks = {m: subsystem_rank(rs, m) for m in closed}
     by_rank: list[list[int]] = [[] for _ in range(rs.rank + 1)]
     for m in closed:

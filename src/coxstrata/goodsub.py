@@ -194,8 +194,30 @@ def param_G(rs: RootSystem, P: Iterable[Descriptor]) -> int:
 
 
 def star_sets(ctype: CartanType | str, size: int) -> Iterator[frozenset[Descriptor]]:
-    """All star-valid descriptor sets of the given cardinality."""
-    universe = sorted(_classical(ctype)[1], key=lambda d: (len(d), d))
-    for combo in combinations(universe, size):
-        if star_check(ctype, combo):
-            yield frozenset(combo)
+    """All star-valid descriptor sets of the given cardinality.
+
+    A depth-first search over the sorted universe, so the sets come in
+    the order of its `combinations`.  It takes a descriptor whose first
+    and second endpoints are both new; in type D it may also take, once,
+    the '-' twin of a '+' pair already taken.  Only a finished set that
+    holds such a doubled pair still needs `star_check`.
+    """
+    if size < 0:
+        raise ValueError("size must be non-negative")
+    family, table = _classical(ctype)
+    universe = sorted(table, key=lambda d: (len(d), d))
+
+    def extend(start: int, chosen: list, firsts: set, seconds: set, doubled: bool):
+        if len(chosen) == size:
+            if not doubled or star_check(ctype, chosen):
+                yield frozenset(chosen)
+            return
+        for n in range(start, len(universe) - size + len(chosen) + 1):
+            d = universe[n]
+            i, j = _ends(d)
+            if i not in firsts and j not in seconds:
+                yield from extend(n + 1, chosen + [d], firsts | {i}, seconds | {j}, doubled)
+            elif family == "D" and not doubled and d[-1] == "-" and (i, j, "+") in chosen:
+                yield from extend(n + 1, chosen + [d], firsts, seconds, True)
+
+    yield from extend(0, [], set(), set(), False)

@@ -631,6 +631,11 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     assert main(["lattice", "A2", "--cache-dir", ""]) == 2
     assert capsys.readouterr().err.endswith("error: --cache-dir needs a directory, not an empty path\n")
     assert not any(tmp_path.iterdir())
+    # A rank too large for an index is a usage error, not a traceback.
+    huge = "B99999999999999999999"
+    for argv in (["betti", huge], ["rootinfo", huge], ["member", huge, "--point", "1"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 ORBITS_OUTPUT = {

@@ -105,7 +105,8 @@ def test_flat_iteration_order_contract(lattice_of):
 
 
 def test_flats_match_brute_force_oracle(lattice_of):
-    for name in ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2"]:
+    # A4 and D4 (d = 10 and 12) run the closedness pass at its full width.
+    for name in ["A1", "A2", "A3", "A4", "B2", "B3", "C2", "C3", "D3", "D4", "G2"]:
         rs, lat = lattice_of(name)
         enum = [[lat.flats[i].mask for i in ids] for ids in lat.by_rank]
         assert brute_force_flats(rs) == enum, name

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from conftest import additive_closure_by_tuple_sums, orbit_masks
 from coxstrata.betti import betti_row_closed_form
 from coxstrata.errors import InvalidId, MalformedDescriptor, NotClassical, NotGood, StarViolation
-from coxstrata.flats import key_masks, walk_level, whitney_second
+from coxstrata.flats import IntersectionLattice, key_masks, walk, walk_level, whitney_second
 from coxstrata.goodsub import (
     bds_candidates,
     bds_covers_all,
@@ -18,6 +20,7 @@ from coxstrata.goodsub import (
     star_sets,
 )
 from coxstrata.rootsys import CartanType, build_root_system, classify_subsystem, closure
+from coxstrata.verify import goodsub_checks
 
 
 def test_is_k_step_good_examples(lattice_of):
@@ -269,6 +272,18 @@ def test_round_trips_and_counts(lattice_of):
                 assert param_G(rs, param_F(rs, mask)) == mask
 
 
+def test_parametrization_check_catches_a_corrupt_level(lattice_of):
+    # Repeating one rank-2 mask keeps the counts, and every mask still
+    # round-trips; only the comparison of whole levels sees it.
+    rs, lat = lattice_of("D4")
+    assert ("parametrization-bijections", True, "") in goodsub_checks(rs, lat)
+    walks = list(walk(rs))
+    levels = [key_masks(level.keys) for level in walks]
+    levels[2][0] = levels[2][1]
+    corrupt = IntersectionLattice(rs, levels, lat.covers, walks)
+    assert ("parametrization-bijections", False, "") in goodsub_checks(rs, corrupt)
+
+
 @pytest.mark.parametrize("name", ["A6", "B5", "C5", "D5", "D6"])
 def test_every_flat_round_trips_through_its_parameter_set(name, lattice_of):
     # The star-set round trips above stop at rank 4; these reach the type D
@@ -308,6 +323,26 @@ def test_descriptors_of_roundtrip():
         (2, 3, "+"), (2, 3, "-"), (2, 4, "+"), (2, 4, "-"), (3, 4, "+"), (3, 4, "-"),
     ]
     assert list(star_sets("D4", 1)) == [frozenset({d}) for d in d4]
+
+
+@pytest.mark.parametrize(
+    "name", ["A3", "A4", "A5", "B3", "B4", "C3", "C4", "D3", "D4", "D5"]
+)
+def test_star_sets_search_equals_the_exhaustive_filter(name):
+    # The pruned search must yield what filtering every subset of the
+    # sorted universe through star_check yields, in the same order.
+    rs = build_root_system(name)
+    universe = sorted(descriptors_of(rs, (1 << rs.d) - 1), key=lambda d: (len(d), d))
+    for k in range(rs.rank + 2):
+        expected = [frozenset(c) for c in combinations(universe, k) if star_check(name, c)]
+        assert list(star_sets(name, k)) == expected, (name, k)
+
+
+def test_star_sets_refuses_a_negative_size_and_a_non_classical_type():
+    with pytest.raises(ValueError):
+        list(star_sets("A3", -1))
+    with pytest.raises(NotClassical):
+        list(star_sets("E6", 1))
 
 
 @pytest.mark.parametrize("mask", [-1, 1 << 9])
